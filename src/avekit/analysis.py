@@ -22,6 +22,7 @@ from .linalg import (
     lu_factor,
     lu_solve,
     max_abs_real_roots,
+    pivot_threshold,
 )
 
 # 2^n signature enumerations are kept below a second of work.
@@ -177,22 +178,23 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     return float(max_abs_real_roots(polys, bound, tol).max())
 
 
-def _dets_all_signatures(a: np.ndarray, scale: float = 1.0):
-    """Determinants of I - (A/scale)S over all signatures, with per-matrix
-    singularity thresholds."""
+def signature_systems(a: np.ndarray, scale: float = 1.0):
+    """The stack I - (A/scale)S over all signatures S (in
+    ``signature_stack(n)`` order), its determinants, and each matrix's
+    singularity threshold ``1e-14 * (1 + ||I - (A/scale)S||_inf)``."""
     n = a.shape[0]
     signs = signature_stack(n, fix_first=False)
     mats = np.eye(n)[None, :, :] - (a[None, :, :] / scale) * signs[:, None, :]
     dets = np.linalg.det(mats)
     thresholds = 1e-14 * (1.0 + np.abs(mats).sum(axis=2).max(axis=1))
-    return dets, thresholds
+    return mats, dets, thresholds
 
 
 def det_positive_all_signatures(a) -> bool:
     """True iff det(I - AS) clears the singularity threshold for all S."""
     a = as_square_matrix(a)
     _check_enum_dim(a.shape[0], "det_positive_all_signatures")
-    dets, thr = _dets_all_signatures(a)
+    _mats, dets, thr = signature_systems(a)
     return bool((dets > thr).all())
 
 
@@ -211,10 +213,10 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
         return 0.0
 
     def admissible(t: float) -> bool:
-        dets, thr = _dets_all_signatures(a, scale=t)
+        _mats, dets, thr = signature_systems(a, scale=t)
         return bool((dets > thr).all())
 
-    lo = 1e-14 * (1.0 + norm)
+    lo = pivot_threshold(a)
     if admissible(lo):
         return 0.0
     # rho^R <= ||A||_inf, but t == rho^R itself is inadmissible; nudge up

@@ -17,12 +17,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import analysis, oracle, problems, sge
-from .errors import AvekitError, NotUnique, PivotBreakdown
+from .errors import AvekitError, DimensionTooLarge, NotUnique
 from .newton import newton_solve
 from .problems import AveProblem, residual
 from .report import SolveReport, Status
@@ -51,6 +50,16 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _numeric_field(path: str, data: dict, name: str) -> np.ndarray:
+    try:
+        value = np.asarray(data[name], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"{path}: field '{name}' is not numeric: {exc}") from exc
+    if not np.isfinite(value).all():
+        raise CliError(f"{path}: field '{name}' contains non-finite entries")
+    return value
+
+
 def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
     try:
         with open(path) as handle:
@@ -65,27 +74,17 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
         if name not in data:
             raise CliError(f"{path}: missing field '{name}'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise CliError(f"{path}: field 'n' must be a positive integer")
-    try:
-        a = np.asarray(data["A"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: field 'A' is not numeric: {exc}") from exc
+    a = _numeric_field(path, data, "A")
     if a.shape != (n, n):
         raise CliError(f"{path}: field 'A' must be {n}x{n}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise CliError(f"{path}: field 'A' contains non-finite entries")
-    try:
-        b = np.asarray(data["b"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: field 'b' is not numeric: {exc}") from exc
+    b = _numeric_field(path, data, "b")
     if b.shape != (n,):
         raise CliError(f"{path}: field 'b' must have length {n}, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise CliError(f"{path}: field 'b' contains non-finite entries")
     known = None
     if data.get("known_solution") is not None:
-        known = np.asarray(data["known_solution"], dtype=float)
+        known = _numeric_field(path, data, "known_solution")
         if known.shape != (n,):
             raise CliError(f"{path}: field 'known_solution' must have length {n}")
     metadata = data.get("metadata") or {}
@@ -130,17 +129,19 @@ def _parse_start(text: str, n: int):
     raise CliError(f"invalid --start {text!r}: use b, plus, minus or a +/- string")
 
 
-def _report_dict(report: SolveReport, problem: AveProblem, elapsed_ms: float) -> dict:
+def _report_dict(report: SolveReport, elapsed_ms: float, **extra) -> dict:
     out = {
         "method": report.method,
         "status": report.status.value,
         "z": None if report.z is None else [float(x) for x in report.z],
-        "residual": None if report.z is None else residual(problem, report.z),
+        "residual": report.residual,
         "iterations": report.iterations,
-        "condition_profile": analysis.condition_profile(problem.a).as_dict(),
+        **extra,
+        "condition_profile": report.profile.as_dict(),
         "timings_ms": elapsed_ms,
     }
-    if not report.guaranteed:
+    # The oracle checks every orthant, so its answer needs no sufficient condition.
+    if not report.guaranteed and report.method != "oracle":
         out["warnings"] = ["no sufficient condition holds; result is not guaranteed"]
     if report.signs is not None:
         out["signs"] = [int(s) for s in report.signs]
@@ -158,55 +159,41 @@ def _report_dict(report: SolveReport, problem: AveProblem, elapsed_ms: float) ->
     return out
 
 
-def _run_method(problem: AveProblem, method: str, start, max_iter: int, tol: float):
-    """Returns (report_dict_fragment, status) for one solver run."""
-    t0 = time.perf_counter()
+def _run_method(problem: AveProblem, method: str, start, max_iter: int):
+    """Returns (report, extra report fields) for one solver run."""
     if method == "sge":
-        try:
-            report = sge.sge_solve(problem)
-        except PivotBreakdown:
-            return {
-                "method": "sge",
-                "status": Status.PIVOT_BREAKDOWN.value,
-                "z": None,
-                "residual": None,
-                "iterations": 0,
-                "condition_profile": analysis.condition_profile(problem.a).as_dict(),
-                "timings_ms": (time.perf_counter() - t0) * 1e3,
-            }, Status.PIVOT_BREAKDOWN
-        return _report_dict(report, problem, (time.perf_counter() - t0) * 1e3), report.status
+        return sge.sge_solve(problem), {}
     if method == "newton":
-        report = newton_solve(problem, start=start, max_iter=max_iter)
-        return _report_dict(report, problem, (time.perf_counter() - t0) * 1e3), report.status
+        return newton_solve(problem, start=start, max_iter=max_iter), {}
     # oracle
     result = oracle.enumerate_solutions(problem)
-    elapsed = (time.perf_counter() - t0) * 1e3
     count = len(result.solutions)
-    status = Status.CONVERGED if count == 1 else Status.NOT_UNIQUE
     z = result.solutions[0][1] if count == 1 else None
-    out = {
-        "method": "oracle",
-        "status": status.value,
-        "z": None if z is None else [float(x) for x in z],
-        "residual": None if z is None else residual(problem, z),
-        "iterations": 1 << problem.n,
+    report = SolveReport(
+        method="oracle",
+        status=Status.CONVERGED if count == 1 else Status.NOT_UNIQUE,
+        z=z,
+        residual=None if z is None else residual(problem, z),
+        iterations=1 << problem.n,
+        profile=analysis.condition_profile(problem.a),
+    )
+    return report, {
         "solution_count": count,
         "singular_signatures": len(result.singular_signatures),
-        "condition_profile": analysis.condition_profile(problem.a).as_dict(),
-        "timings_ms": elapsed,
     }
-    return out, status
 
 
 def cmd_solve(args) -> int:
     try:
         problem, _known, _meta = load_problem(args.input)
         start = _parse_start(args.start, problem.n)
+        t0 = time.perf_counter()
+        report, extra = _run_method(problem, args.method, start, args.max_iter)
     except (CliError, AvekitError, ValueError) as exc:
         return _fail(str(exc))
-    out, status = _run_method(problem, args.method, start, args.max_iter, args.tol)
+    out = _report_dict(report, (time.perf_counter() - t0) * 1e3, **extra)
     _write_json(out, args.out)
-    return 0 if status == Status.CONVERGED else 2
+    return 0 if report.status == Status.CONVERGED else 2
 
 
 def cmd_analyze(args) -> int:
@@ -273,7 +260,7 @@ def _compare_one(name: str, problem: AveProblem, newton_start) -> dict:
     try:
         z_true = oracle.unique_solution(problem)
         row["oracle"] = "unique"
-    except NotUnique as exc:
+    except (NotUnique, DimensionTooLarge) as exc:
         z_true = None
         row["oracle"] = str(exc)
 
@@ -282,13 +269,9 @@ def _compare_one(name: str, problem: AveProblem, newton_start) -> dict:
             return False
         return bool(np.abs(z - z_true).max() <= MATCH_TOL * (1.0 + np.abs(z_true).max()))
 
-    try:
-        rep = sge.sge_solve(problem)
-        row["sge_status"] = rep.status.value
-        row["sge_ok"] = matches(rep.z)
-    except PivotBreakdown:
-        row["sge_status"] = Status.PIVOT_BREAKDOWN.value
-        row["sge_ok"] = False
+    rep = sge.sge_solve(problem)
+    row["sge_status"] = rep.status.value
+    row["sge_ok"] = matches(rep.z)
     rep = newton_solve(problem, start=newton_start, max_iter=max(problem.n + 1, 2 ** problem.n + 1))
     row["newton_status"] = rep.status.value
     row["newton_ok"] = rep.status == Status.CONVERGED and matches(rep.z)
@@ -335,12 +318,7 @@ def cmd_compare(args) -> int:
     else:
         cases = _random_suite()
 
-    workers = int(os.environ.get("AVE_THREADS", "0") or "0")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _compare_one(*c), cases))
-    else:
-        rows = [_compare_one(*case) for case in cases]
+    rows = [_compare_one(*case) for case in cases]
     rows.sort(key=lambda r: r["instance"])
 
     summary = {
@@ -379,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="newton start: 'b', 'plus', 'minus' or a +/- signature string",
     )
     p_solve.add_argument("--max-iter", type=int, default=100, dest="max_iter")
-    p_solve.add_argument("--tol", type=float, default=1e-10)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 

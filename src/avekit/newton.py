@@ -68,7 +68,7 @@ def newton_solve(
     trace = NewtonTrace()
     trace.signatures.append(s_cur)
     seen = {s_cur.tobytes(): 0}
-    guaranteed = condition_profile(problem.a).any
+    profile = condition_profile(problem.a)
     eye = np.eye(n)
 
     status = Status.MAX_ITERATIONS
@@ -117,9 +117,9 @@ def newton_solve(
         method="newton",
         status=status,
         z=z,
-        residual=None if z is None else residual(problem, z),
+        residual=None if z is None else trace.residuals[-1],
         iterations=iterations,
-        guaranteed=guaranteed,
+        profile=profile,
         signs=None if z is None else signature_of(z),
         newton_trace=trace,
     )

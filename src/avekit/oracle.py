@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import signature_stack
+from .analysis import signature_stack, signature_systems
 from .errors import DimensionTooLarge, NotUnique
 from .problems import AveProblem, residual
 
@@ -40,9 +40,7 @@ def enumerate_solutions(problem: AveProblem) -> OracleResult:
     if n > MAX_ORACLE_DIM:
         raise DimensionTooLarge(f"oracle enumeration capped at n <= {MAX_ORACLE_DIM}")
     signs = signature_stack(n, fix_first=False)
-    mats = np.eye(n)[None, :, :] - problem.a[None, :, :] * signs[:, None, :]
-    dets = np.linalg.det(mats)
-    thresholds = 1e-14 * (1.0 + np.abs(mats).sum(axis=2).max(axis=1))
+    mats, dets, thresholds = signature_systems(problem.a)
     singular = np.abs(dets) <= thresholds
 
     candidates = np.full((signs.shape[0], n), np.nan)

@@ -7,6 +7,8 @@ from enum import Enum
 
 import numpy as np
 
+from .analysis import ConditionProfile
+
 
 class Status(str, Enum):
     CONVERGED = "converged"
@@ -21,9 +23,10 @@ class Status(str, Enum):
 class SolveReport:
     """Outcome of a solver run.
 
-    ``residual`` is always recomputed against the original (A, b).
-    ``guaranteed`` reflects whether any sufficient condition held for A;
-    when False the solve was still attempted, but nothing is promised.
+    ``residual`` is always computed against the original (A, b).
+    ``profile`` evaluates the sufficient conditions on A; when none held
+    (``guaranteed`` is False) the solve was still attempted, but nothing
+    is promised.
     """
 
     method: str
@@ -31,7 +34,11 @@ class SolveReport:
     z: np.ndarray | None
     residual: float | None
     iterations: int
-    guaranteed: bool
+    profile: ConditionProfile
     signs: np.ndarray | None = None
     elimination_trace: list | None = None
     newton_trace: object | None = None
+
+    @property
+    def guaranteed(self) -> bool:
+        return self.profile.any

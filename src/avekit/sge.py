@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import condition_profile
 from .errors import PivotBreakdown
-from .linalg import infinity_norm
+from .linalg import pivot_threshold
 from .problems import AveProblem, residual
 from .report import SolveReport, Status
 
@@ -26,30 +26,6 @@ class EliminationRecord:
     index: int
     sign: int
     round: int
-
-
-@dataclass(frozen=True)
-class SgeState:
-    """Elimination state: transformed (A, b), active indices, trace.
-
-    Maintains z = b_work + A_work |z| for the true solution as long as
-    the recorded signs are correct; columns at eliminated indices are
-    identically zero.
-    """
-
-    a_work: np.ndarray
-    b_work: np.ndarray
-    active: tuple[int, ...]
-    trace: tuple[EliminationRecord, ...]
-
-
-def initial_state(problem: AveProblem) -> SgeState:
-    return SgeState(
-        a_work=problem.a.copy(),
-        b_work=problem.b.copy(),
-        active=tuple(range(problem.n)),
-        trace=(),
-    )
 
 
 def _eliminate_inplace(a: np.ndarray, b: np.ndarray, k: int, s: int, threshold: float) -> None:
@@ -67,25 +43,6 @@ def _eliminate_inplace(a: np.ndarray, b: np.ndarray, k: int, s: int, threshold: 
     col /= denom
     b += col * b[k]
     a += np.outer(col, a[k, :])
-
-
-def elim_step(state: SgeState, k: int, s: int) -> SgeState:
-    """Functional sign-controlled elimination of index k with sign s."""
-    if k not in state.active:
-        raise ValueError(f"index {k} is not active")
-    if s not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-    a = state.a_work.copy()
-    b = state.b_work.copy()
-    threshold = 1e-14 * (1.0 + infinity_norm(a))
-    _eliminate_inplace(a, b, k, s, threshold)
-    round_no = state.trace[-1].round + 1 if state.trace else 0
-    return SgeState(
-        a_work=a,
-        b_work=b,
-        active=tuple(i for i in state.active if i != k),
-        trace=state.trace + (EliminationRecord(index=k, sign=s, round=round_no),),
-    )
 
 
 def max_abs_indices(b: np.ndarray, active, tie_tol: float = 0.0) -> list[int]:
@@ -106,14 +63,14 @@ def sge_solve(problem: AveProblem, tie_tol: float = 0.0) -> SolveReport:
     whenever one of the four sufficient conditions holds; otherwise the
     solve is still attempted and the report is flagged as unguaranteed.
 
-    Raises PivotBreakdown when some 1 - a_kk*s vanishes, which cannot
-    happen under the sufficient conditions.
+    When some 1 - a_kk*s vanishes, which cannot happen under the
+    sufficient conditions, the report has status PIVOT_BREAKDOWN and no z.
     """
     a = problem.a.copy()
     b = problem.b.copy()
     n = problem.n
-    guaranteed = condition_profile(problem.a).any
-    threshold = 1e-14 * (1.0 + infinity_norm(problem.a))
+    profile = condition_profile(problem.a)
+    threshold = pivot_threshold(problem.a)
 
     z = np.zeros(n)
     signs = np.ones(n, dtype=np.int64)
@@ -122,29 +79,39 @@ def sge_solve(problem: AveProblem, tie_tol: float = 0.0) -> SolveReport:
     round_no = 0
     pinned_zero: list[int] = []
 
-    while len(active) > 1:
-        if float(np.abs(b[active]).max()) == 0.0:
-            # Closed subsystem with zero right-hand side: its solution is 0.
-            pinned_zero = list(active)
-            active = []
-            break
-        chosen = max_abs_indices(b, active, tie_tol)
-        picks = [(k, 1 if b[k] >= 0.0 else -1) for k in chosen]
-        for k, s in picks:
-            _eliminate_inplace(a, b, k, s, threshold)
-            trace.append(EliminationRecord(index=k, sign=s, round=round_no))
-            signs[k] = s
-        active = [i for i in active if i not in chosen]
-        round_no += 1
+    try:
+        while len(active) > 1:
+            if float(np.abs(b[active]).max()) == 0.0:
+                # Closed subsystem with zero right-hand side: its solution is 0.
+                pinned_zero = list(active)
+                active = []
+                break
+            chosen = max_abs_indices(b, active, tie_tol)
+            picks = [(k, 1 if b[k] >= 0.0 else -1) for k in chosen]
+            for k, s in picks:
+                _eliminate_inplace(a, b, k, s, threshold)
+                trace.append(EliminationRecord(index=k, sign=s, round=round_no))
+                signs[k] = s
+            active = [i for i in active if i not in chosen]
+            round_no += 1
 
-    if len(active) == 1:
-        j = active[0]
-        s = 1 if b[j] >= 0.0 else -1
-        denom = 1.0 - a[j, j] * s
-        if abs(denom) <= threshold:
-            raise PivotBreakdown(f"scalar stage: 1 - a[{j},{j}]*({s:+d}) vanished")
-        z[j] = b[j] / denom
-        signs[j] = s
+        if len(active) == 1:
+            j = active[0]
+            s = 1 if b[j] >= 0.0 else -1
+            denom = 1.0 - a[j, j] * s
+            if abs(denom) <= threshold:
+                raise PivotBreakdown(f"scalar stage: 1 - a[{j},{j}]*({s:+d}) vanished")
+            z[j] = b[j] / denom
+            signs[j] = s
+    except PivotBreakdown:
+        return SolveReport(
+            method="sge",
+            status=Status.PIVOT_BREAKDOWN,
+            z=None,
+            residual=None,
+            iterations=0,
+            profile=profile,
+        )
     for j in pinned_zero:
         z[j] = 0.0
 
@@ -160,7 +127,7 @@ def sge_solve(problem: AveProblem, tie_tol: float = 0.0) -> SolveReport:
         z=z,
         residual=residual(problem, z),
         iterations=len(trace),
-        guaranteed=guaranteed,
+        profile=profile,
         signs=signs,
         elimination_trace=trace,
     )

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avekit import cli
 from avekit import problems as pr
@@ -14,6 +16,11 @@ def run(*argv):
 def read_json(path):
     with open(path) as handle:
         return json.load(handle)
+
+
+def write_problem(path, problem):
+    path.write_text(json.dumps(cli.problem_to_dict(problem)))
+    return str(path)
 
 
 @pytest.fixture
@@ -95,6 +102,20 @@ class TestSolve:
         report = read_json(str(out))
         assert report["z"] == pytest.approx([0.005, 1.0], abs=1e-9)
 
+    def test_sge_pivot_breakdown_exit_code(self, tmp_path):
+        path = write_problem(tmp_path / "p.json", pr.AveProblem(np.eye(1), np.array([2.0])))
+        out = tmp_path / "report.json"
+        assert run("solve", path, "--method", "sge", "--out", str(out)) == 2
+        report = read_json(str(out))
+        assert report["status"] == "pivot_breakdown"
+        assert report["z"] is None and report["residual"] is None
+        assert report["warnings"]
+
+    def test_oracle_dimension_cap(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "big.json", pr.AveProblem(np.zeros((13, 13)), np.ones(13)))
+        assert run("solve", path, "--method", "oracle") == 1
+        assert "capped at n <= 12" in capsys.readouterr().err
+
     def test_missing_field_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "A": [[0, 0], [0, 0]]}))
@@ -112,6 +133,19 @@ class TestSolve:
         path.write_text("{not json")
         assert run("solve", str(path)) == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", True),
+        ("known_solution", ["x"]),
+        ("known_solution", [float("nan")]),
+    ])
+    def test_loader_rejects_field(self, tmp_path, capsys, field, value):
+        data = cli.problem_to_dict(pr.AveProblem(np.zeros((1, 1)), np.ones(1)))
+        data[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run("solve", str(path)) == 1
+        assert f"'{field}'" in capsys.readouterr().err
 
     def test_bad_start_signature(self, trap_file, capsys):
         assert run("solve", trap_file, "--method", "newton", "--start", "+-+") == 1
@@ -203,15 +237,32 @@ class TestCompare:
         assert len(data["instances"]) == 1
         assert len(data["skipped"]) == 1
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+    def test_oracle_cap_recorded_in_row(self, tmp_path):
         d = tmp_path / "instances"
         d.mkdir()
-        for i in range(4):
-            run("generate", "--class", "sdd-two-thirds", "--n", "4", "--seed", str(i),
-                "--out", str(d / f"i{i}.json"))
-        serial_out = tmp_path / "serial.json"
-        run("compare", "--dir", str(d), "--out", str(serial_out))
-        monkeypatch.setenv("AVE_THREADS", "4")
-        parallel_out = tmp_path / "parallel.json"
-        run("compare", "--dir", str(d), "--out", str(parallel_out))
-        assert read_json(str(serial_out))["instances"] == read_json(str(parallel_out))["instances"]
+        write_problem(d / "big.json", pr.AveProblem(np.zeros((13, 13)), np.ones(13)))
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--dir", str(d), "--out", str(out)) == 0
+        (row,) = read_json(str(out))["instances"]
+        assert row["oracle"] == "oracle enumeration capped at n <= 12"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(["n", "A", "b", "known_solution", "metadata"]), value=JSON_VALUES)
+def test_loader_returns_or_raises_cli_error(tmp_path_factory, field, value):
+    data = cli.problem_to_dict(pr.AveProblem(np.zeros((2, 2)), np.ones(2)))
+    data[field] = value
+    path = tmp_path_factory.mktemp("fuzz") / "p.json"
+    path.write_text(json.dumps(data))
+    try:
+        cli.load_problem(str(path))
+    except cli.CliError:
+        pass

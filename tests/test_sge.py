@@ -5,50 +5,45 @@ from avekit import analysis as an
 from avekit import problems as pr
 from avekit import oracle
 from avekit.errors import PivotBreakdown
-from avekit.linalg import infinity_norm
+from avekit.linalg import infinity_norm, pivot_threshold
 from avekit.report import Status
-from avekit.sge import elim_step, initial_state, max_abs_indices, sge_solve
+from avekit.sge import _eliminate_inplace, max_abs_indices, sge_solve
 
 from conftest import rng
+
+
+def eliminate(a, b, k, s):
+    """Copy (a, b) and eliminate index k with sign s through the SGE kernel."""
+    a, b = a.copy(), b.copy()
+    _eliminate_inplace(a, b, k, s, pivot_threshold(a))
+    return a, b
 
 
 class TestElimStep:
     def test_worked_example(self):
         # Hand evaluation: factor 1/(1 - 1/4) = 4/3 drives both updates.
-        problem = pr.AveProblem(
-            np.array([[0.25, 0.0], [0.5, 0.25]]), np.array([1.0, 1.0])
-        )
-        state = elim_step(initial_state(problem), 0, 1)
-        assert state.a_work == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.25]]))
-        assert state.b_work == pytest.approx([4.0 / 3.0, 5.0 / 3.0])
-        assert state.active == (1,)
-        assert state.trace[0].index == 0 and state.trace[0].sign == 1
+        a, b = eliminate(np.array([[0.25, 0.0], [0.5, 0.25]]), np.array([1.0, 1.0]), 0, 1)
+        assert a == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.25]]))
+        assert b == pytest.approx([4.0 / 3.0, 5.0 / 3.0])
 
     def test_zero_matrix_is_noop(self):
-        problem = pr.AveProblem(np.zeros((2, 2)), np.array([3.0, -1.0]))
-        state = elim_step(initial_state(problem), 1, -1)
-        assert np.array_equal(state.a_work, np.zeros((2, 2)))
-        assert np.array_equal(state.b_work, problem.b)
+        b0 = np.array([3.0, -1.0])
+        a, b = eliminate(np.zeros((2, 2)), b0, 1, -1)
+        assert np.array_equal(a, np.zeros((2, 2)))
+        assert np.array_equal(b, b0)
 
     def test_unit_diagonal_breaks_down(self):
-        problem = pr.AveProblem(np.array([[1.0]]), np.array([2.0]))
         with pytest.raises(PivotBreakdown):
-            elim_step(initial_state(problem), 0, 1)
-
-    def test_inactive_index_rejected(self):
-        problem = pr.AveProblem(np.zeros((2, 2)), np.ones(2))
-        state = elim_step(initial_state(problem), 0, 1)
-        with pytest.raises(ValueError):
-            elim_step(state, 0, 1)
+            eliminate(np.array([[1.0]]), np.array([2.0]), 0, 1)
 
     def test_eliminated_columns_stay_zero(self):
         problem, _ = pr.random_instance("norm_lt_half", 5, 11)
-        state = initial_state(problem)
+        a, b = problem.a, problem.b
         for k in range(4):
-            s = 1 if state.b_work[k] >= 0 else -1
-            state = elim_step(state, k, s)
-            for record in state.trace:
-                assert np.array_equal(state.a_work[:, record.index], np.zeros(5))
+            s = 1 if b[k] >= 0 else -1
+            a, b = eliminate(a, b, k, s)
+            for done in range(k + 1):
+                assert np.array_equal(a[:, done], np.zeros(5))
 
 
 class TestSgeSolve:
@@ -120,6 +115,12 @@ class TestSgeSolve:
         assert rounds == sorted(rounds)
         assert len(indices) == problem.n - 1  # no ties for random b
 
+    def test_unit_diagonal_reports_breakdown(self):
+        report = sge_solve(pr.AveProblem(np.array([[1.0]]), np.array([2.0])))
+        assert report.status == Status.PIVOT_BREAKDOWN
+        assert report.z is None and report.residual is None
+        assert report.iterations == 0
+
     def test_status_and_report_fields(self):
         problem, _ = pr.random_instance("tridiag_abs_sym", 4, 5)
         report = sge_solve(problem)
@@ -130,17 +131,18 @@ class TestSgeSolve:
 
 class TestConditionInvariance:
     def _replay_with_checks(self, problem, predicate):
-        state = initial_state(problem)
-        while len(state.active) > 1:
-            if np.abs(state.b_work[list(state.active)]).max() == 0.0:
+        a, b = problem.a, problem.b
+        active = list(range(problem.n))
+        while len(active) > 1:
+            if np.abs(b[active]).max() == 0.0:
                 break
-            chosen = max_abs_indices(state.b_work, state.active)
-            picks = [(k, 1 if state.b_work[k] >= 0 else -1) for k in chosen]
+            chosen = max_abs_indices(b, active)
+            picks = [(k, 1 if b[k] >= 0 else -1) for k in chosen]
             for k, s in picks:
-                state = elim_step(state, k, s)
-                active = list(state.active)
+                a, b = eliminate(a, b, k, s)
+                active.remove(k)
                 if active:
-                    sub = state.a_work[np.ix_(active, active)]
+                    sub = a[np.ix_(active, active)]
                     assert predicate(sub)
 
     @pytest.mark.parametrize("seed", range(20))
