@@ -40,9 +40,9 @@ def signature_of(z) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _signature_stack(n: int, fix_first: bool) -> np.ndarray:
+def signature_stack(n: int, fix_first: bool = False) -> np.ndarray:
     """All sign vectors of length n, optionally with the first sign pinned
-    to +1 (halving the enumeration).  Row 0 is all +1."""
+    to +1 (halving the enumeration).  Row 0 is all +1; cached, read-only."""
     free = n - 1 if fix_first else n
     idx = np.arange(1 << free, dtype=np.int64)[:, None]
     bits = (idx >> np.arange(free)[None, :]) & 1
@@ -51,10 +51,6 @@ def _signature_stack(n: int, fix_first: bool) -> np.ndarray:
         signs = np.hstack([np.ones((signs.shape[0], 1)), signs])
     signs.setflags(write=False)
     return signs
-
-
-def signature_stack(n: int, fix_first: bool = False) -> np.ndarray:
-    return _signature_stack(n, fix_first)
 
 
 def is_irreducible(a) -> bool:
@@ -202,8 +198,10 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     """Sign-real spectral radius by determinant-positivity bisection.
 
     Uses the equivalence rho^R(A/t) < 1 iff det(I - (A/t)S) > 0 for all
-    signatures S, and bisects for the infimum of admissible t in
-    (0, ||A||_inf].  Independent of the enumeration route.
+    signatures S, and bisects for the infimum of admissible t.  The upper
+    bracket is ||A||_inf, or 2||A||_inf if the threshold band rejects it
+    (at rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
+    Independent of the enumeration route.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -219,11 +217,7 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     lo = pivot_threshold(a)
     if admissible(lo):
         return 0.0
-    # rho^R <= ||A||_inf, but t == rho^R itself is inadmissible; nudge up
-    # until the upper bracket clears the threshold band.
-    hi = norm
-    while not admissible(hi):
-        hi *= 1.0 + max(tol, 1e-12)
+    hi = norm if admissible(norm) else 2.0 * norm
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if admissible(mid):

@@ -2,8 +2,11 @@
 
 Norms, LU factorization with partial pivoting, determinants,
 characteristic polynomials (Faddeev-LeVerrier) and real-root isolation
-by Sturm sequences.  Everything operates on plain float64 numpy arrays:
-matrices are row-major ``(n, n)``, vectors ``(n,)``, all entries finite.
+by Sturm sequences.  ``elimination_step`` and ``back_substitute`` are the
+one Gaussian elimination: ``lu_factor`` pivots it by rows, signed
+Gaussian elimination by symmetric swaps on ``I - A S``.  Everything
+operates on plain float64 numpy arrays: matrices are row-major
+``(n, n)``, vectors ``(n,)``, all entries finite.
 
 The eigenvalue machinery is deliberately polynomial-based instead of QR
 iteration: it is deterministic, dependency-free and adequate for the
@@ -80,25 +83,24 @@ class LuFactorization:
         return self.lu.shape[0]
 
 
-def _decompose(a: np.ndarray):
-    """Partial-pivoting LU; returns (lu, perm, sign, singular)."""
-    lu = np.array(a, dtype=float, copy=True)
-    n = lu.shape[0]
-    perm = np.arange(n)
-    sign = 1
-    threshold = pivot_threshold(a)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= threshold:
-            return lu, perm, sign, True
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        lu[k + 1:, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, sign, False
+def elimination_step(lu: np.ndarray, k: int, rhs: np.ndarray | None = None) -> None:
+    """One in-place Gaussian elimination step at the pivot ``lu[k, k]``,
+    which the caller has chosen and checked: column k below it becomes
+    the multipliers (column k of L), the rank-1 update touches only the
+    trailing block ``lu[k+1:, k+1:]``, and ``rhs`` is forward-substituted."""
+    below = lu[k + 1:, k]
+    below /= lu[k, k]
+    lu[k + 1:, k + 1:] -= below[:, None] * lu[k, None, k + 1:]
+    if rhs is not None:
+        rhs[k + 1:] -= below * rhs[k]
+
+
+def back_substitute(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite x with the solution of U x = x, U the upper triangle of
+    ``lu``; x may be a vector or a matrix of stacked columns."""
+    for k in range(x.shape[0] - 1, -1, -1):
+        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x
 
 
 def lu_factor(a) -> LuFactorization:
@@ -108,9 +110,20 @@ def lu_factor(a) -> LuFactorization:
     ``1e-14 * (1 + ||A||_inf)``.
     """
     a = as_square_matrix(a)
-    lu, perm, sign, singular = _decompose(a)
-    if singular:
-        raise SingularMatrix("pivot below singularity threshold")
+    lu = a.copy()
+    n = lu.shape[0]
+    perm = np.arange(n)
+    sign = 1
+    threshold = pivot_threshold(a)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) <= threshold:
+            raise SingularMatrix("pivot below singularity threshold")
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            sign = -sign
+        elimination_step(lu, k)
     return LuFactorization(lu=lu, perm=perm, sign=sign)
 
 
@@ -127,11 +140,7 @@ def lu_solve(f: LuFactorization, b) -> np.ndarray:
     lu = f.lu
     for k in range(1, n):
         x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        if k + 1 < n:
-            x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
+    return back_substitute(lu, x)
 
 
 def determinant(a) -> float:
@@ -139,11 +148,11 @@ def determinant(a) -> float:
 
     Returns exactly 0.0 when the factorization signals singularity.
     """
-    a = as_square_matrix(a)
-    lu, _perm, sign, singular = _decompose(a)
-    if singular:
+    try:
+        f = lu_factor(a)
+    except SingularMatrix:
         return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    return float(f.sign * np.prod(np.diag(f.lu)))
 
 
 def char_polys_stack(mats: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Signed Gaussian elimination: a direct solver for z - A|z| = b.
 
-The solver repeatedly pins the sign of the variables carrying the
-largest |b| entries, removes each such variable with a rank-1 update
-that zeroes its column, and finishes with a scalar solve plus reverse
-substitution through the recorded elimination trace.
+With its signs S pinned, z solves (I - A S) z = b.  The solver LU-factors
+P (I - A S) P^T with diagonal pivots in pick order: ``lu`` starts as -A,
+so a column becomes that of I - A S once it is scaled by its sign and
+its pivot gets 1 added.  Each pick is swapped symmetrically to the next
+pivot position and eliminated by ``linalg.elimination_step``, which also
+forward-substitutes y; ``linalg.back_substitute`` recovers z.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .analysis import condition_profile
 from .errors import PivotBreakdown
-from .linalg import pivot_threshold
+from .linalg import back_substitute, elimination_step, pivot_threshold
 from .problems import AveProblem, residual
 from .report import SolveReport, Status
 
@@ -28,81 +30,80 @@ class EliminationRecord:
     round: int
 
 
-def _eliminate_inplace(a: np.ndarray, b: np.ndarray, k: int, s: int, threshold: float) -> None:
-    """Zero column k assuming sign(z_k) = s, updating (a, b) in place.
-
-    Removing |z_k| = s z_k from the right-hand side leaves
-    (I - A_{*k} e_k^T s) z = b + (A - A_{*k} e_k^T)|z|; inverting the
-    rank-1 factor via the Sherman-Morrison form gives the updates below.
-    """
-    col = a[:, k] * s
-    denom = 1.0 - col[k]
-    if abs(denom) <= threshold:
+def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], pos: list[int],
+         p: int, k: int, s: int, threshold: float) -> None:
+    """Move original index k to pivot position p (``perm`` maps positions
+    to indices, ``pos`` is its inverse), make its column that of I - A S
+    for sign(z_k) = s, and raise PivotBreakdown when the pivot
+    1 - a'_kk s vanishes."""
+    q = pos[k]
+    if q != p:
+        lu[p], lu[q] = lu[q].copy(), lu[p].copy()
+        lu[:, p], lu[:, q] = lu[:, q].copy(), lu[:, p].copy()
+        y[p], y[q] = y[q], y[p]
+        perm[p], perm[q] = k, perm[p]
+        pos[k], pos[perm[q]] = p, q
+    if s < 0:
+        lu[:, p] *= -1.0
+    lu[p, p] += 1.0
+    if abs(lu[p, p]) <= threshold:
         raise PivotBreakdown(f"1 - a[{k},{k}]*({s:+d}) vanished")
-    a[:, k] = 0.0
-    col /= denom
-    b += col * b[k]
-    a += np.outer(col, a[k, :])
 
 
-def max_abs_indices(b: np.ndarray, active, tie_tol: float = 0.0) -> list[int]:
-    """Active indices whose |b| entry is maximal (ties per tie_tol)."""
-    active = list(active)
-    vals = np.abs(b[active])
-    top = vals.max()
-    return [k for k, v in zip(active, vals) if v >= top * (1.0 - tie_tol)]
+def _round_picks(y: np.ndarray, perm: list[int], pos: list[int], p: int) -> list[tuple[int, int]]:
+    """(index, sign) of every maximal-|y| index at position p or later,
+    in ascending index order, signs read before any is eliminated; empty
+    when that y is all zero."""
+    mags = np.abs(y[p:]).tolist()
+    top = max(mags)
+    if top == 0.0:
+        return []
+    chosen = sorted(perm[p + i] for i, m in enumerate(mags) if m == top)
+    return [(k, 1 if y[pos[k]] >= 0.0 else -1) for k in chosen]
 
 
-def sge_solve(problem: AveProblem, tie_tol: float = 0.0) -> SolveReport:
+def sge_solve(problem: AveProblem) -> SolveReport:
     """Solve z - A|z| = b by signed Gaussian elimination.
 
-    Each round pins sign(z_k) = sign(b_k) for every maximal-|b| active
-    index (all signs read before the round mutates b), eliminates them in
-    ascending index order, and recurses on the rest; a final scalar solve
-    and reverse substitution recover z.  Sign picks are provably correct
-    whenever one of the four sufficient conditions holds; otherwise the
-    solve is still attempted and the report is flagged as unguaranteed.
+    Each round pins sign(z_k) = sign(y_k) for every maximal-|y| index not
+    yet eliminated, eliminates them in ascending index order, and
+    recurses on the rest; the last index only has its sign pinned, and
+    when two or more remain with y = 0 their z is 0.  Sign picks are
+    provably correct whenever one of the four sufficient conditions
+    holds; otherwise the solve is still attempted and the report is
+    flagged as unguaranteed.
 
-    When some 1 - a_kk*s vanishes, which cannot happen under the
+    When some pivot 1 - a_kk*s vanishes, which cannot happen under the
     sufficient conditions, the report has status PIVOT_BREAKDOWN and no z.
     """
-    a = problem.a.copy()
-    b = problem.b.copy()
     n = problem.n
     profile = condition_profile(problem.a)
     threshold = pivot_threshold(problem.a)
-
-    z = np.zeros(n)
+    lu = -problem.a
+    y = problem.b.copy()
+    perm, pos = list(range(n)), list(range(n))
     signs = np.ones(n, dtype=np.int64)
     trace: list[EliminationRecord] = []
-    active = list(range(n))
+    p = 0
     round_no = 0
-    pinned_zero: list[int] = []
-
     try:
-        while len(active) > 1:
-            if float(np.abs(b[active]).max()) == 0.0:
+        while n - p > 1:
+            picks = _round_picks(y, perm, pos, p)
+            if not picks:
                 # Closed subsystem with zero right-hand side: its solution is 0.
-                pinned_zero = list(active)
-                active = []
                 break
-            chosen = max_abs_indices(b, active, tie_tol)
-            picks = [(k, 1 if b[k] >= 0.0 else -1) for k in chosen]
             for k, s in picks:
-                _eliminate_inplace(a, b, k, s, threshold)
+                _pin(lu, y, perm, pos, p, k, s, threshold)
+                elimination_step(lu, p, y)
                 trace.append(EliminationRecord(index=k, sign=s, round=round_no))
                 signs[k] = s
-            active = [i for i in active if i not in chosen]
+                p += 1
             round_no += 1
 
-        if len(active) == 1:
-            j = active[0]
-            s = 1 if b[j] >= 0.0 else -1
-            denom = 1.0 - a[j, j] * s
-            if abs(denom) <= threshold:
-                raise PivotBreakdown(f"scalar stage: 1 - a[{j},{j}]*({s:+d}) vanished")
-            z[j] = b[j] / denom
-            signs[j] = s
+        if n - p == 1:
+            signs[perm[p]] = s = 1 if y[p] >= 0.0 else -1
+            _pin(lu, y, perm, pos, p, perm[p], s, threshold)
+            p += 1
     except PivotBreakdown:
         return SolveReport(
             method="sge",
@@ -112,15 +113,9 @@ def sge_solve(problem: AveProblem, tie_tol: float = 0.0) -> SolveReport:
             iterations=0,
             profile=profile,
         )
-    for j in pinned_zero:
-        z[j] = 0.0
 
-    # Reverse substitution: every eliminated row depends only on entries
-    # recovered later (its own and earlier-eliminated columns are zero).
-    for record in reversed(trace):
-        k = record.index
-        z[k] = b[k] + a[k, :] @ np.abs(z)
-
+    z = np.zeros(n)
+    z[perm[:p]] = back_substitute(lu[:p, :p], y[:p])
     return SolveReport(
         method="sge",
         status=Status.CONVERGED,

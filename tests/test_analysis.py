@@ -186,6 +186,23 @@ class TestRhoSrBisect:
         tol = 1e-8
         assert abs(an.rho_sr_enum(a, tol=1e-10) - an.rho_sr_bisect(a, tol=tol)) <= 2 * tol
 
+    def test_norm_attaining_radius_is_bounded(self, monkeypatch):
+        # rho^R(1.1 I) = ||A||_inf, so t = ||A||_inf sits in the threshold
+        # band; the bracket must not creep up from there in 1 + tol steps.
+        calls = []
+        systems = an.signature_systems
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return systems(*args, **kwargs)
+
+        monkeypatch.setattr(an, "signature_systems", counting)
+        r = an.rho_sr_bisect(pr.inflated_identity(0.1, 3), tol=1e-10)
+        assert len(calls) <= 64
+        # det(I - (1.1/t) I) = (1 - 1.1/t)^3 must clear ~2e-14 for t to count.
+        eps = np.finfo(float).eps
+        assert abs(r - 1.1) <= 2 * (1 + eps) * 1e-14 ** (1 / 3)
+
 
 class TestDetPositivity:
     def test_norm_below_one(self):

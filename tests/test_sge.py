@@ -5,45 +5,70 @@ from avekit import analysis as an
 from avekit import problems as pr
 from avekit import oracle
 from avekit.errors import PivotBreakdown
-from avekit.linalg import infinity_norm, pivot_threshold
+from avekit.linalg import elimination_step, infinity_norm, pivot_threshold
 from avekit.report import Status
-from avekit.sge import _eliminate_inplace, max_abs_indices, sge_solve
+from avekit.sge import _pin, _round_picks, sge_solve
 
 from conftest import rng
 
 
-def eliminate(a, b, k, s):
-    """Copy (a, b) and eliminate index k with sign s through the SGE kernel."""
-    a, b = a.copy(), b.copy()
-    _eliminate_inplace(a, b, k, s, pivot_threshold(a))
-    return a, b
+class Elimination:
+    """SGE's elimination state on (a, b), driven one pick at a time: the
+    factors ``lu`` of P(I - AS)P^T (trailing block -A'), the
+    forward-substituted y, and the permutation with its inverse."""
+
+    def __init__(self, a, b):
+        n = len(b)
+        self.lu, self.y = -np.asarray(a, dtype=float), np.array(b, dtype=float)
+        self.perm, self.pos = list(range(n)), list(range(n))
+        self.p = 0
+        self.threshold = pivot_threshold(a)
+
+    def eliminate(self, k, s):
+        _pin(self.lu, self.y, self.perm, self.pos, self.p, k, s, self.threshold)
+        elimination_step(self.lu, self.p, self.y)
+        self.p += 1
+
+    def trailing(self):
+        return -self.lu[self.p:, self.p:]
 
 
 class TestElimStep:
     def test_worked_example(self):
-        # Hand evaluation: factor 1/(1 - 1/4) = 4/3 drives both updates.
-        a, b = eliminate(np.array([[0.25, 0.0], [0.5, 0.25]]), np.array([1.0, 1.0]), 0, 1)
-        assert a == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.25]]))
-        assert b == pytest.approx([4.0 / 3.0, 5.0 / 3.0])
+        # Hand evaluation: pivot 1 - 1/4 = 3/4, multiplier -1/2 / (3/4) = -2/3.
+        e = Elimination(np.array([[0.25, 0.0], [0.5, 0.25]]), np.array([1.0, 1.0]))
+        e.eliminate(0, 1)
+        assert e.trailing() == pytest.approx(np.array([[0.25]]))
+        assert e.y[1] == pytest.approx(5.0 / 3.0)
+        # The frozen row is row 0 of U and keeps its right-hand side.
+        assert e.lu[0] == pytest.approx([0.75, 0.0])
+        assert e.y[0] == 1.0
+        assert e.lu[1, 0] == pytest.approx(-2.0 / 3.0)
 
     def test_zero_matrix_is_noop(self):
         b0 = np.array([3.0, -1.0])
-        a, b = eliminate(np.zeros((2, 2)), b0, 1, -1)
-        assert np.array_equal(a, np.zeros((2, 2)))
-        assert np.array_equal(b, b0)
+        e = Elimination(np.zeros((2, 2)), b0)
+        e.eliminate(1, -1)
+        assert e.perm == [1, 0]
+        assert np.array_equal(e.trailing(), np.zeros((1, 1)))
+        assert e.y[1] == b0[0]
 
     def test_unit_diagonal_breaks_down(self):
         with pytest.raises(PivotBreakdown):
-            eliminate(np.array([[1.0]]), np.array([2.0]), 0, 1)
+            Elimination(np.array([[1.0]]), np.array([2.0])).eliminate(0, 1)
 
-    def test_eliminated_columns_stay_zero(self):
+    def test_factors_reproduce_pinned_system(self):
         problem, _ = pr.random_instance("norm_lt_half", 5, 11)
-        a, b = problem.a, problem.b
-        for k in range(4):
-            s = 1 if b[k] >= 0 else -1
-            a, b = eliminate(a, b, k, s)
-            for done in range(k + 1):
-                assert np.array_equal(a[:, done], np.zeros(5))
+        e = Elimination(problem.a, problem.b)
+        signs = np.zeros(5)
+        for k in (3, 0, 4, 1, 2):
+            signs[k] = 1 if e.y[e.pos[k]] >= 0 else -1
+            e.eliminate(k, int(signs[k]))
+        lower = np.tril(e.lu, -1) + np.eye(5)
+        upper = np.triu(e.lu)
+        system = np.eye(5) - problem.a * signs[None, :]
+        permuted = system[np.ix_(e.perm, e.perm)]
+        assert np.abs(lower @ upper - permuted).max() <= 1e-15
 
 
 class TestSgeSolve:
@@ -121,6 +146,25 @@ class TestSgeSolve:
         assert report.z is None and report.residual is None
         assert report.iterations == 0
 
+    @pytest.mark.parametrize(
+        "cls, nu",
+        [("norm_lt_half", None), ("tridiag_abs_sym", None),
+         ("unconstrained", 0.9), ("unconstrained", 1.5), ("unconstrained", 4.0)],
+    )
+    def test_z_solves_its_pinned_system(self, cls, nu):
+        # Seed 0 of the nu = 4 class (n = 2) has a negative final pivot
+        # 1 - a'_jj s_j, where z_j's sign differs from the pinned s_j.
+        for seed in range(60):
+            n = 2 + seed % 7
+            problem, _ = pr.random_instance(cls, n, seed, rhs="explicit", nu=nu)
+            report = sge_solve(problem)
+            if report.status != Status.CONVERGED:
+                continue
+            system = np.eye(n) - problem.a * report.signs[None, :]
+            miss = np.abs(system @ report.z - problem.b).max()
+            scale = 1.0 + infinity_norm(problem.a) * np.abs(report.z).max()
+            assert miss <= 1e-12 * (scale + np.abs(problem.b).max())
+
     def test_status_and_report_fields(self):
         problem, _ = pr.random_instance("tridiag_abs_sym", 4, 5)
         report = sge_solve(problem)
@@ -131,19 +175,15 @@ class TestSgeSolve:
 
 class TestConditionInvariance:
     def _replay_with_checks(self, problem, predicate):
-        a, b = problem.a, problem.b
-        active = list(range(problem.n))
-        while len(active) > 1:
-            if np.abs(b[active]).max() == 0.0:
+        e = Elimination(problem.a, problem.b)
+        while problem.n - e.p > 1:
+            picks = _round_picks(e.y, e.perm, e.pos, e.p)
+            if not picks:
                 break
-            chosen = max_abs_indices(b, active)
-            picks = [(k, 1 if b[k] >= 0 else -1) for k in chosen]
             for k, s in picks:
-                a, b = eliminate(a, b, k, s)
-                active.remove(k)
-                if active:
-                    sub = a[np.ix_(active, active)]
-                    assert predicate(sub)
+                e.eliminate(k, s)
+                if e.p < problem.n:
+                    assert predicate(e.trailing())
 
     @pytest.mark.parametrize("seed", range(20))
     def test_class1_preserved(self, seed):
