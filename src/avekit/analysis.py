@@ -67,11 +67,11 @@ def is_irreducible(a) -> bool:
     def reaches_all(edges: np.ndarray) -> bool:
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
-        while True:
-            new = seen | edges[seen].any(axis=0)
-            if (new == seen).all():
-                return bool(seen.all())
-            seen = new
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
     return reaches_all(adj) and reaches_all(adj.T)
 
@@ -132,18 +132,16 @@ def condition_profile(a) -> ConditionProfile:
     )
 
 
-def neq_set(b, z, tie_tol: float = 0.0) -> list[int]:
+def neq_set(b, z) -> list[int]:
     """Indices of maximal-|b| entries whose sign disagrees with z there.
 
-    Indices are 0-based.  ``tie_tol`` widens the maximal set to entries
-    with |b_i| >= (1 - tie_tol) * ||b||_inf; the default 0 keeps exact
-    float equality, which is what the solvability theory covers.
+    Indices are 0-based.  "Maximal" is exact float equality with
+    ||b||_inf, which is what the solvability theory covers.
     """
     b = as_vector(b)
     z = as_vector(z, b.shape[0])
     abs_b = np.abs(b)
-    bmax = abs_b.max()
-    maximal = abs_b >= bmax * (1.0 - tie_tol)
+    maximal = abs_b == abs_b.max()
     disagree = signature_of(b) != signature_of(z)
     return [int(i) for i in np.nonzero(maximal & disagree)[0]]
 
@@ -177,13 +175,11 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
 def signature_systems(a: np.ndarray, scale: float = 1.0):
     """The stack I - (A/scale)S over all signatures S (in
     ``signature_stack(n)`` order), its determinants, and each matrix's
-    singularity threshold ``1e-14 * (1 + ||I - (A/scale)S||_inf)``."""
+    ``pivot_threshold``."""
     n = a.shape[0]
     signs = signature_stack(n, fix_first=False)
     mats = np.eye(n)[None, :, :] - (a[None, :, :] / scale) * signs[:, None, :]
-    dets = np.linalg.det(mats)
-    thresholds = 1e-14 * (1.0 + np.abs(mats).sum(axis=2).max(axis=1))
-    return mats, dets, thresholds
+    return mats, np.linalg.det(mats), pivot_threshold(mats)
 
 
 def det_positive_all_signatures(a) -> bool:

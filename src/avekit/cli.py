@@ -6,13 +6,18 @@ Problems travel as JSON files:
      "known_solution": [...]?, "metadata": {...}?}
 
 Reports are JSON too, with the residual always recomputed from the raw
-inputs.  Exit codes: 0 on a converged/unique result, 2 on any
-non-convergent solver status, 1 on I/O or validation errors.
+inputs, streamed to ``--out`` or stdout.  The commands raise; ``main``
+is the one error boundary and turns any ``CliError``, ``AvekitError``,
+``ValueError`` or ``OSError`` (an unreadable input, an unwritable
+``--out``) into a single ``error: ...`` line on stderr.  Exit codes: 0
+on a converged/unique result, 2 on any non-convergent solver status, 1
+on I/O or validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -43,11 +48,6 @@ MATCH_TOL = 1e-8
 
 class CliError(Exception):
     """Validation or I/O failure; message names the offending field."""
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
 
 
 def _numeric_field(path: str, data: dict, name: str) -> np.ndarray:
@@ -96,23 +96,20 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
 def problem_to_dict(problem: AveProblem, known=None, metadata=None) -> dict:
     out = {
         "n": problem.n,
-        "A": [[float(x) for x in row] for row in problem.a],
-        "b": [float(x) for x in problem.b],
+        "A": problem.a.tolist(),
+        "b": problem.b.tolist(),
     }
     if known is not None:
-        out["known_solution"] = [float(x) for x in known]
+        out["known_solution"] = np.asarray(known, dtype=float).tolist()
     if metadata:
         out["metadata"] = metadata
     return out
 
 
 def _write_json(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+        json.dump(data, handle, indent=2)
+        handle.write("\n")
 
 
 def _parse_start(text: str, n: int):
@@ -133,7 +130,7 @@ def _report_dict(report: SolveReport, elapsed_ms: float, **extra) -> dict:
     out = {
         "method": report.method,
         "status": report.status.value,
-        "z": None if report.z is None else [float(x) for x in report.z],
+        "z": None if report.z is None else report.z.tolist(),
         "residual": report.residual,
         "iterations": report.iterations,
         **extra,
@@ -144,7 +141,7 @@ def _report_dict(report: SolveReport, elapsed_ms: float, **extra) -> dict:
     if not report.guaranteed and report.method != "oracle":
         out["warnings"] = ["no sufficient condition holds; result is not guaranteed"]
     if report.signs is not None:
-        out["signs"] = [int(s) for s in report.signs]
+        out["signs"] = report.signs.tolist()
     if report.elimination_trace is not None:
         out["trace"] = [
             {"index": r.index, "sign": r.sign, "round": r.round}
@@ -184,23 +181,17 @@ def _run_method(problem: AveProblem, method: str, start, max_iter: int):
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem, _known, _meta = load_problem(args.input)
-        start = _parse_start(args.start, problem.n)
-        t0 = time.perf_counter()
-        report, extra = _run_method(problem, args.method, start, args.max_iter)
-    except (CliError, AvekitError, ValueError) as exc:
-        return _fail(str(exc))
+    problem, _known, _meta = load_problem(args.input)
+    start = _parse_start(args.start, problem.n)
+    t0 = time.perf_counter()
+    report, extra = _run_method(problem, args.method, start, args.max_iter)
     out = _report_dict(report, (time.perf_counter() - t0) * 1e3, **extra)
     _write_json(out, args.out)
     return 0 if report.status == Status.CONVERGED else 2
 
 
 def cmd_analyze(args) -> int:
-    try:
-        problem, _known, _meta = load_problem(args.input)
-    except (CliError, AvekitError, ValueError) as exc:
-        return _fail(str(exc))
+    problem, _known, _meta = load_problem(args.input)
     a = problem.a
     profile = analysis.condition_profile(a)
     out = {
@@ -228,29 +219,24 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     name = args.cls
     if name not in VALID_CLASSES:
-        return _fail(
-            f"invalid class {name!r}; valid classes: {', '.join(VALID_CLASSES)}"
+        raise CliError(f"invalid class {name!r}; valid classes: {', '.join(VALID_CLASSES)}")
+    if name == "sge-trap":
+        problem, known = problems.sge_trap_instance(args.eps)
+        meta = {"class": name, "eps": args.eps}
+    elif name == "newton-cycle":
+        problem = problems.newton_cycle_instance(args.a)
+        known, meta = None, {"class": name, "a": args.a}
+    elif name == "inflated-identity":
+        mat = problems.inflated_identity(args.eps, args.n)
+        problem = AveProblem(mat, -np.ones(args.n))
+        known, meta = None, {"class": name, "eps": args.eps, "n": args.n}
+    else:
+        problem, known = problems.random_instance(
+            GENERATOR_ALIASES[name], args.n, args.seed, rhs=args.rhs, nu=args.nu
         )
-    try:
-        if name == "sge-trap":
-            problem, known = problems.sge_trap_instance(args.eps)
-            meta = {"class": name, "eps": args.eps}
-        elif name == "newton-cycle":
-            problem = problems.newton_cycle_instance(args.a)
-            known, meta = None, {"class": name, "a": args.a}
-        elif name == "inflated-identity":
-            mat = problems.inflated_identity(args.eps, args.n)
-            problem = AveProblem(mat, -np.ones(args.n))
-            known, meta = None, {"class": name, "eps": args.eps, "n": args.n}
-        else:
-            problem, known = problems.random_instance(
-                GENERATOR_ALIASES[name], args.n, args.seed, rhs=args.rhs, nu=args.nu
-            )
-            meta = {"class": name, "n": args.n, "seed": args.seed, "rhs": args.rhs}
-            if args.nu is not None:
-                meta["nu"] = args.nu
-    except (AvekitError, ValueError) as exc:
-        return _fail(str(exc))
+        meta = {"class": name, "n": args.n, "seed": args.seed, "rhs": args.rhs}
+        if args.nu is not None:
+            meta["nu"] = args.nu
     _write_json(problem_to_dict(problem, known, meta), args.out)
     return 0
 
@@ -301,11 +287,7 @@ def cmd_compare(args) -> int:
     skipped: list[str] = []
     cases = []
     if args.dir is not None:
-        try:
-            names = sorted(f for f in os.listdir(args.dir) if f.endswith(".json"))
-        except OSError as exc:
-            return _fail(f"cannot list {args.dir}: {exc}")
-        for fname in names:
+        for fname in sorted(f for f in os.listdir(args.dir) if f.endswith(".json")):
             path = os.path.join(args.dir, fname)
             try:
                 problem, _known, _meta = load_problem(path)
@@ -390,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CliError, AvekitError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -60,9 +60,12 @@ def one_norm(a) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def pivot_threshold(a) -> float:
-    """Scaled absolute threshold below which a pivot counts as zero."""
-    return 1e-14 * (1.0 + infinity_norm(a))
+def pivot_threshold(a):
+    """Scaled absolute threshold ``1e-14 * (1 + ||a||_inf)`` below which a
+    pivot counts as zero; a float for one matrix, an array for a stack."""
+    a = np.asarray(a, dtype=float)
+    norms = np.abs(a).sum(axis=-1).max(axis=-1)
+    return 1e-14 * (1.0 + (float(norms) if norms.ndim == 0 else norms))
 
 
 @dataclass(frozen=True)

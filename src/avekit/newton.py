@@ -69,13 +69,15 @@ def newton_solve(
     trace.signatures.append(s_cur)
     seen = {s_cur.tobytes(): 0}
     profile = condition_profile(problem.a)
-    eye = np.eye(n)
 
     status = Status.MAX_ITERATIONS
     z = None
     iterations = 0
     for step in range(1, max_iter + 1):
-        system = eye - problem.a * s_cur[None, :].astype(float)
+        # I - A S_k built in place: 0 - x keeps the signed zeros of eye - x.
+        system = problem.a * s_cur[None, :].astype(float)
+        np.subtract(0.0, system, out=system)
+        system.flat[:: n + 1] += 1.0
         try:
             factor = lu_factor(system)
         except SingularMatrix:

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import signature_stack, signature_systems
+from .analysis import MAX_ENUM_DIM, signature_stack, signature_systems
 from .errors import DimensionTooLarge, NotUnique
 from .problems import AveProblem, residual
-
-MAX_ORACLE_DIM = 12
 
 
 @dataclass
@@ -37,8 +35,8 @@ class OracleResult:
 def enumerate_solutions(problem: AveProblem) -> OracleResult:
     """Find all solutions of z - A|z| = b by checking every orthant."""
     n = problem.n
-    if n > MAX_ORACLE_DIM:
-        raise DimensionTooLarge(f"oracle enumeration capped at n <= {MAX_ORACLE_DIM}")
+    if n > MAX_ENUM_DIM:
+        raise DimensionTooLarge(f"oracle enumeration capped at n <= {MAX_ENUM_DIM}")
     signs = signature_stack(n, fix_first=False)
     mats, dets, thresholds = signature_systems(problem.a)
     singular = np.abs(dets) <= thresholds

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -52,6 +53,9 @@ class TestGenerate:
             assert run("generate", "--class", "norm-lt-half", "--n", "5",
                        "--seed", "3", "--out", str(p)) == 0
         assert p1.read_bytes() == p2.read_bytes()
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == (
+            "2c2d175c9872b22b4f9d9990e4c2da3785865416c28e027cb7de75fd0816ce76"
+        )
 
     def test_trap_instance_payload(self, trap_file):
         data = read_json(trap_file)
@@ -245,6 +249,29 @@ class TestCompare:
         assert run("compare", "--dir", str(d), "--out", str(out)) == 0
         (row,) = read_json(str(out))["instances"]
         assert row["oracle"] == "oracle enumeration capped at n <= 12"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "{problem}"),
+    ("analyze", "{problem}"),
+    ("generate", "--class", "norm-lt-half"),
+    ("compare", "--suite", "demo"),
+])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv):
+    problem = write_problem(tmp_path / "p.json", pr.AveProblem(np.zeros((2, 2)), np.ones(2)))
+    out = tmp_path / "missing" / "r.json"
+    argv = [arg.format(problem=problem) for arg in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and str(out) in err
+
+
+def test_unlistable_dir_names_it(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert run("compare", "--dir", str(missing)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
 
 
 JSON_VALUES = st.recursive(
