@@ -162,14 +162,11 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "rho_sr_enum")
-    bound = infinity_norm(a)
-    if bound == 0.0:
-        return 0.0
     signs = signature_stack(n, fix_first=True)
     mats = signs[:, :, None] * a[None, :, :]
     polys = char_polys_stack(mats)
     # ||S A||_inf == ||A||_inf for every signature, so one bound serves all.
-    return float(max_abs_real_roots(polys, bound, tol).max())
+    return max_abs_real_roots(polys, infinity_norm(a), tol)
 
 
 def signature_systems(a: np.ndarray, scale: float = 1.0):

@@ -208,9 +208,9 @@ def cmd_analyze(args) -> int:
         )
     else:
         if args.rho in ("enum", "both"):
-            out["rho_sr_enum"] = analysis.rho_sr_enum(a, tol=min(args.tol, 1e-8))
+            out["rho_sr_enum"] = analysis.rho_sr_enum(a, tol=1e-10)
         if args.rho in ("bisect", "both"):
-            out["rho_sr_bisect"] = analysis.rho_sr_bisect(a, tol=min(args.tol, 1e-6))
+            out["rho_sr_bisect"] = analysis.rho_sr_bisect(a, tol=1e-10)
         out["det_positive_all_signatures"] = analysis.det_positive_all_signatures(a)
     _write_json(out, args.out)
     return 0
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="condition profile and spectral analysis")
     p_an.add_argument("input", help="problem JSON file")
     p_an.add_argument("--rho", choices=("enum", "bisect", "both"), default="both")
-    p_an.add_argument("--tol", type=float, default=1e-10)
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(func=cmd_analyze)
 

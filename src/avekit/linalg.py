@@ -1,10 +1,13 @@
 """Dense linear algebra kernels.
 
 Norms, LU factorization with partial pivoting, determinants,
-characteristic polynomials (Faddeev-LeVerrier) and real-root isolation
-by Sturm sequences.  ``elimination_step`` and ``back_substitute`` are the
-one Gaussian elimination: ``lu_factor`` pivots it by rows, signed
-Gaussian elimination by symmetric swaps on ``I - A S``.  Everything
+characteristic polynomials (Faddeev-LeVerrier) and real roots by Sturm
+sequences.  ``elimination_step`` and ``back_substitute`` are the one
+Gaussian elimination: ``lu_factor`` pivots it by rows, signed Gaussian
+elimination by symmetric swaps on ``I - A S``.  Each Sturm search is one
+bisection on sign-variation counts: ``real_roots`` isolates and refines
+every root of one polynomial in the same loop, ``max_abs_real_roots``
+brackets only the largest |root| over a stack.  Everything
 operates on plain float64 numpy arrays: matrices are row-major
 ``(n, n)``, vectors ``(n,)``, all entries finite.
 
@@ -262,8 +265,10 @@ def _variations_scalar(chain: list[np.ndarray], x: float) -> int:
 def real_roots(p, lo: float, hi: float, tol: float = 1e-10) -> np.ndarray:
     """All distinct real roots of p in [lo, hi], located to width ``tol``.
 
-    Roots are isolated by Sturm-sequence counting and refined by bisection
-    (with a guarded Newton polish on simple roots).  Multiple roots are
+    One bisection on Sturm-sequence counts: an interval is split while it
+    holds a root and is wider than ``tol``, and each surviving interval
+    reports its midpoint, so every root lies within ``tol/2`` of a
+    reported one.  Multiple roots, and roots closer than ``tol``, are
     reported once.
     """
     p = np.asarray(p, dtype=float)
@@ -276,74 +281,23 @@ def real_roots(p, lo: float, hi: float, tol: float = 1e-10) -> np.ndarray:
         return np.empty(0)
     chain = _sturm_chain(p)
 
-    def count_at(x: float) -> int:
-        return _variations_scalar(chain, x)
-
     # Sturm counts roots in half-open (a, b]; pad the left endpoint so a
     # root exactly at lo is captured (it is clipped back afterwards).
     pad = max(tol, 1e-12 * (1.0 + abs(lo)))
     a0 = lo - pad
-    work = [(a0, float(hi), count_at(a0), count_at(hi))]
-    spans = []
+    work = [(a0, float(hi), _variations_scalar(chain, a0), _variations_scalar(chain, hi))]
+    roots = []
     while work:
         x0, x1, v0, v1 = work.pop()
-        k = v0 - v1
-        if k <= 0:
-            continue
-        if k == 1 or (x1 - x0) <= tol:
-            spans.append((x0, x1, v0))
+        if v0 <= v1:
             continue
         xm = 0.5 * (x0 + x1)
-        vm = count_at(xm)
+        if x1 - x0 <= tol:
+            roots.append(xm)
+            continue
+        vm = _variations_scalar(chain, xm)
         work.append((x0, xm, v0, vm))
         work.append((xm, x1, vm, v1))
-
-    dp = _poly_deriv(p)
-    roots = []
-    for x0, x1, v0 in spans:
-        f0 = float(poly_eval(p, x0))
-        f1 = float(poly_eval(p, x1))
-        if f0 == 0.0:
-            roots.append(x0)
-            continue
-        if f1 != 0.0 and (f0 > 0.0) != (f1 > 0.0):
-            # Simple sign change: plain bisection, then a guarded polish.
-            lo_, hi_, flo = x0, x1, f0
-            while hi_ - lo_ > 0.25 * tol:
-                mid = 0.5 * (lo_ + hi_)
-                fm = float(poly_eval(p, mid))
-                if fm == 0.0:
-                    lo_ = hi_ = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo_, flo = mid, fm
-                else:
-                    hi_ = mid
-            root = 0.5 * (lo_ + hi_)
-            best = abs(float(poly_eval(p, root)))
-            x = root
-            for _ in range(3):
-                fp = float(poly_eval(dp, x))
-                if fp == 0.0:
-                    break
-                x = x - float(poly_eval(p, x)) / fp
-                if not x0 <= x <= x1:
-                    break
-                fx = abs(float(poly_eval(p, x)))
-                if fx < best:
-                    best, root = fx, x
-            roots.append(root)
-        else:
-            # Even multiplicity: bisect on the Sturm count itself.
-            lo_, hi_, vlo = x0, x1, v0
-            while hi_ - lo_ > 0.5 * tol:
-                mid = 0.5 * (lo_ + hi_)
-                vm = count_at(mid)
-                if vlo - vm >= 1:
-                    hi_ = mid
-                else:
-                    lo_, vlo = mid, vm
-            roots.append(0.5 * (lo_ + hi_))
 
     roots.sort()
     merged: list[float] = []
@@ -460,50 +414,51 @@ def _variations_at_infinity(chains: np.ndarray, positive: bool) -> np.ndarray:
     return _count_variations(s)
 
 
-def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> np.ndarray:
-    """Per-row largest |real root| for a stack of polynomials whose real
-    roots all lie in [-bound, bound] (e.g. characteristic polynomials with
-    ``bound`` a matrix norm).
+def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> float:
+    """Largest |real root| over a stack of polynomials whose real roots
+    all lie in [-bound, bound] (e.g. characteristic polynomials with
+    ``bound`` a matrix norm); 0 if no row has a real root.
 
-    Rows without real roots yield 0.  Works outside-in: bisection on t of
-    the Sturm count of roots with |root| > t.
+    One bisection on t over the whole stack, outside-in: t moves up while
+    some live row still has a root with |root| > t (by Sturm counts), and
+    a row with none is dropped, since it cannot hold the maximum.
     """
-    polys = np.asarray(polys, dtype=float)
-    m = polys.shape[0]
     if bound == 0.0:
-        return np.zeros(m)
+        return 0.0
     chains = _sturm_chains_stack(polys)
     # Outer counts taken at +-infinity (exact); every real root lies in
     # [-bound, bound], so they count exactly the roots of interest.
-    big = bound * (1.0 + 1e-9)
     v_hi = _variations_at_infinity(chains, positive=True)
     v_lo = _variations_at_infinity(chains, positive=False)
-    total = v_lo - v_hi
-    lo = np.zeros(m)
-    hi = np.where(total > 0, big, 0.0)
-    steps = min(int(np.ceil(np.log2(max(big / max(tol, 1e-300), 4.0)))) + 2, 200)
+    live = v_lo > v_hi
+    if not live.any():
+        return 0.0
+    chains, v_hi, v_lo = chains[live], v_hi[live], v_lo[live]
+    lo, hi = 0.0, bound * (1.0 + 1e-9)
+    steps = min(int(np.ceil(np.log2(max(hi / max(tol, 1e-300), 4.0)))) + 2, 200)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         outside = (_variations_stack(chains, mid) - v_hi) + (v_lo - _variations_stack(chains, -mid))
         grow = outside >= 1
-        lo = np.where(grow, mid, lo)
-        hi = np.where(grow, hi, mid)
-    return np.minimum(0.5 * (lo + hi), bound)
+        if grow.any():
+            lo = mid
+            chains, v_hi, v_lo = chains[grow], v_hi[grow], v_lo[grow]
+        else:
+            hi = mid
+    return min(0.5 * (lo + hi), bound)
 
 
 def rho0(a, tol: float = 1e-12) -> float:
     """Real spectral radius: max |lambda| over real eigenvalues, 0 if none.
 
-    Simple eigenvalues are located to ``tol``; an eigenvalue of
-    multiplicity m carries the usual polynomial-evaluation blur of
-    roughly eps^(1/m), which is inherent to the characteristic-polynomial
-    route.
+    ``max_abs_real_roots`` on the one-row stack of the characteristic
+    polynomial, bounded by ||A||_inf.  Simple eigenvalues are located to
+    ``tol``; an eigenvalue of multiplicity m carries the usual
+    polynomial-evaluation blur of roughly eps^(1/m), which is inherent to
+    the characteristic-polynomial route.
     """
     a = as_square_matrix(a)
     if a.shape[0] > MAX_CHARPOLY_DIM:
         raise DimensionTooLarge(f"rho0 capped at n <= {MAX_CHARPOLY_DIM}")
-    bound = infinity_norm(a)
-    if bound == 0.0:
-        return 0.0
     polys = char_polys_stack(a[None, :, :])
-    return float(max_abs_real_roots(polys, bound, tol)[0])
+    return max_abs_real_roots(polys, infinity_norm(a), tol)

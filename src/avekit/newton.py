@@ -32,7 +32,6 @@ class NewtonTrace:
     signatures: list[np.ndarray] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    status: Status = Status.MAX_ITERATIONS
 
 
 def newton_solve(
@@ -114,7 +113,6 @@ def newton_solve(
         trace.signatures.append(s_new)
         s_cur = s_new
 
-    trace.status = status
     return SolveReport(
         method="newton",
         status=status,

@@ -187,6 +187,59 @@ class TestRealRoots:
                 assert ((found >= lo) & (found <= hi)).any()
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_simple_roots_within_half_tol(self, seed):
+        # Each reported root is the midpoint of a Sturm interval no wider
+        # than tol, so it sits within tol/2 of the root that interval holds.
+        g = np.random.default_rng(seed)
+        deg = int(g.integers(2, 7))
+        true_roots = -1.5 + np.cumsum(g.uniform(0.1, 0.5, size=deg))
+        p = np.array([1.0])
+        for r in true_roots:
+            p = np.convolve(p, np.array([-r, 1.0]))
+        tol = 1e-9
+        found = la.real_roots(p, -2.0, 2.0, tol=tol)
+        assert found.size == deg
+        assert np.abs(found - true_roots).max() <= 0.5 * tol
+
+
+def _rotation(a):
+    return np.array([[0.0, -a], [a, 0.0]])
+
+
+class TestMaxAbsRealRoots:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stack_is_max_of_rows(self, seed):
+        # Rows with no real root, 4-fold roots at +-1, two top roots
+        # 1e-13 apart and random matrices: the one bracket over the stack
+        # lands exactly where the best single-row bisection does.
+        n = 4
+        top = 0.7 + 0.05 * seed
+        mats = [
+            np.block([[_rotation(0.3), np.zeros((2, 2))], [np.zeros((2, 2)), _rotation(0.9)]]),
+            np.eye(n),
+            -np.eye(n),
+            np.diag([0.5, -0.2, top, 0.1]),
+            np.diag([0.5, -0.2, top + 1e-13, 0.1]),
+        ] + [random_matrix(seed * 10 + k, n) for k in range(5)]
+        polys = la.char_polys_stack(np.array(mats))
+        bound = max(la.infinity_norm(a) for a in mats)
+        rows = [la.max_abs_real_roots(polys[i:i + 1], bound) for i in range(len(mats))]
+        assert rows[0] == 0.0
+        assert abs(rows[1] - 1.0) <= 1e-3 and abs(rows[2] - 1.0) <= 1e-3
+        assert abs(rows[4] - (top + 1e-13)) <= 1e-12
+        assert la.max_abs_real_roots(polys, bound) == max(rows)
+        assert la.max_abs_real_roots(polys[:1], bound) == 0.0
+        # Without the +-I rows the maximum is a simple root.
+        simple = np.delete(polys, [1, 2], axis=0)
+        assert la.max_abs_real_roots(simple, bound) == max(np.delete(rows, [1, 2]))
+
+    def test_zero_bound_and_all_complex(self):
+        polys = la.char_polys_stack(np.array([_rotation(0.5), _rotation(2.0)]))
+        assert la.max_abs_real_roots(polys, 0.0) == 0.0
+        assert la.max_abs_real_roots(polys, 2.0) == 0.0
+
+
 class TestRho0:
     def test_rotation_has_no_real_eigenvalue(self):
         assert la.rho0(np.array([[0.0, -1.0], [1.0, 0.0]])) == 0.0

@@ -120,8 +120,9 @@ class TestNewtonTrace:
 
     def test_converged_trace_repeats_fixed_point(self):
         problem, _ = pr.random_instance("norm_lt_half", 4, 8)
-        trace = newton_solve(problem).newton_trace
-        assert trace.status == Status.CONVERGED
+        report = newton_solve(problem)
+        assert report.status == Status.CONVERGED
+        trace = report.newton_trace
         assert np.array_equal(trace.signatures[-1], trace.signatures[-2])
         z = trace.iterates[-1]
         assert np.abs(trace.iterates[-1] - trace.iterates[-2]).max() <= 1e-12 * (
