@@ -2,14 +2,15 @@
 
 Norms, LU factorization with partial pivoting, determinants,
 characteristic polynomials (Faddeev-LeVerrier) and real roots by Sturm
-sequences.  ``elimination_step`` and ``back_substitute`` are the one
-Gaussian elimination: ``lu_factor`` pivots it by rows, signed Gaussian
-elimination by symmetric swaps on ``I - A S``.  Each Sturm search is one
-bisection on sign-variation counts: ``real_roots`` isolates and refines
-every root of one polynomial in the same loop, ``max_abs_real_roots``
-brackets only the largest |root| over a stack.  Everything
-operates on plain float64 numpy arrays: matrices are row-major
-``(n, n)``, vectors ``(n,)``, all entries finite.
+sequences.  ``catch_up_column``, ``elimination_step`` and
+``back_substitute`` are the one Gaussian elimination, a left-looking
+(Crout) LU in panels of ``_PANEL`` columns: ``lu_factor`` pivots it by
+rows, signed Gaussian elimination by symmetric swaps on ``I - A S``.
+Each Sturm search is one bisection on sign-variation counts:
+``real_roots`` isolates and refines every root of one polynomial in the
+same loop, ``max_abs_real_roots`` brackets only the largest |root| over
+a stack.  Everything operates on plain float64 numpy arrays: matrices
+are row-major ``(n, n)``, vectors ``(n,)``, all entries finite.
 
 The eigenvalue machinery is deliberately polynomial-based instead of QR
 iteration: it is deterministic, dependency-free and adequate for the
@@ -29,6 +30,10 @@ MAX_CHARPOLY_DIM = 16
 
 # Relative coefficient size below which Sturm remainders are truncated.
 _POLY_EPS = 5e-13
+
+# Columns per elimination panel: the trailing block receives a panel's
+# pending updates as one matrix product once the panel is full.
+_PANEL = 64
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -89,16 +94,40 @@ class LuFactorization:
         return self.lu.shape[0]
 
 
-def elimination_step(lu: np.ndarray, k: int, rhs: np.ndarray | None = None) -> None:
-    """One in-place Gaussian elimination step at the pivot ``lu[k, k]``,
-    which the caller has chosen and checked: column k below it becomes
-    the multipliers (column k of L), the rank-1 update touches only the
-    trailing block ``lu[k+1:, k+1:]``, and ``rhs`` is forward-substituted."""
+def catch_up_column(lu: np.ndarray, k: int, j0: int) -> None:
+    """Apply the pending updates of the open panel ``j0:k`` to column k
+    on and below the diagonal, so that its pivot can be chosen and
+    checked."""
+    if k > j0:
+        lu[k:, k] -= lu[k:, j0:k] @ lu[j0:k, k]
+
+
+def _flush_panel(lu: np.ndarray, j0: int, k: int) -> None:
+    """Apply the updates of the closed panel ``j0:k`` to the trailing
+    block ``lu[k:, k:]``, ``_PANEL`` rows at a time so that no temporary
+    of the trailing block's size exists."""
+    for i in range(k, lu.shape[0], _PANEL):
+        lu[i:i + _PANEL, k:] -= lu[i:i + _PANEL, j0:k] @ lu[j0:k, k:]
+
+
+def elimination_step(lu: np.ndarray, k: int, j0: int, rhs: np.ndarray | None = None) -> int:
+    """One in-place Crout elimination step at the pivot ``lu[k, k]``,
+    which the caller has caught up with ``catch_up_column``, chosen and
+    checked.  Row k of U takes the pending updates of the open panel
+    ``j0:k``, column k below the pivot becomes the multipliers (column k
+    of L) and ``rhs`` is forward-substituted.  The trailing block gets
+    the panel's updates only when the panel is full; returns the first
+    column of the panel that is open after the step."""
+    if k > j0:
+        lu[k, k + 1:] -= lu[k, j0:k] @ lu[j0:k, k + 1:]
     below = lu[k + 1:, k]
     below /= lu[k, k]
-    lu[k + 1:, k + 1:] -= below[:, None] * lu[k, None, k + 1:]
     if rhs is not None:
         rhs[k + 1:] -= below * rhs[k]
+    if k + 1 - j0 < _PANEL:
+        return j0
+    _flush_panel(lu, j0, k + 1)
+    return k + 1
 
 
 def back_substitute(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -116,12 +145,14 @@ def lu_factor(a) -> LuFactorization:
     ``1e-14 * (1 + ||A||_inf)``.
     """
     a = as_square_matrix(a)
+    threshold = pivot_threshold(a)
     lu = a.copy()
     n = lu.shape[0]
     perm = np.arange(n)
     sign = 1
-    threshold = pivot_threshold(a)
+    j0 = 0
     for k in range(n):
+        catch_up_column(lu, k, j0)
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[p, k]) <= threshold:
             raise SingularMatrix("pivot below singularity threshold")
@@ -129,7 +160,7 @@ def lu_factor(a) -> LuFactorization:
             lu[[k, p]] = lu[[p, k]]
             perm[[k, p]] = perm[[p, k]]
             sign = -sign
-        elimination_step(lu, k)
+        j0 = elimination_step(lu, k, j0)
     return LuFactorization(lu=lu, perm=perm, sign=sign)
 
 

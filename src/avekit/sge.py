@@ -1,11 +1,15 @@
 """Signed Gaussian elimination: a direct solver for z - A|z| = b.
 
 With its signs S pinned, z solves (I - A S) z = b.  The solver LU-factors
-P (I - A S) P^T with diagonal pivots in pick order: ``lu`` starts as -A,
-so a column becomes that of I - A S once it is scaled by its sign and
-its pivot gets 1 added.  Each pick is swapped symmetrically to the next
-pivot position and eliminated by ``linalg.elimination_step``, which also
-forward-substitutes y; ``linalg.back_substitute`` recovers z.
+P (I - A S) P^T with diagonal pivots in pick order, by the Crout-panel
+kernel that ``linalg.lu_factor`` uses too: ``lu`` starts as -A, so a
+column becomes that of I - A S once it is scaled by its sign and its
+pivot gets 1 added.  Each pick is swapped symmetrically to the next
+pivot position, its column caught up with the open panel
+(``linalg.catch_up_column``; the scaling and the +1 commute with the
+pending updates, which are linear in the column and never touch I), and
+eliminated by ``linalg.elimination_step``, which also forward-substitutes
+y; ``linalg.back_substitute`` recovers z.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .analysis import condition_profile
 from .errors import PivotBreakdown
-from .linalg import back_substitute, elimination_step, pivot_threshold
+from .linalg import back_substitute, catch_up_column, elimination_step, pivot_threshold
 from .problems import AveProblem, residual
 from .report import SolveReport, Status
 
@@ -31,11 +35,11 @@ class EliminationRecord:
 
 
 def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], pos: list[int],
-         p: int, k: int, s: int, threshold: float) -> None:
+         p: int, k: int, s: int, threshold: float, j0: int) -> None:
     """Move original index k to pivot position p (``perm`` maps positions
-    to indices, ``pos`` is its inverse), make its column that of I - A S
-    for sign(z_k) = s, and raise PivotBreakdown when the pivot
-    1 - a'_kk s vanishes."""
+    to indices, ``pos`` is its inverse), catch its column up with the open
+    panel ``j0:p``, make it that of I - A S for sign(z_k) = s, and raise
+    PivotBreakdown when the pivot 1 - a'_kk s vanishes."""
     q = pos[k]
     if q != p:
         lu[p], lu[q] = lu[q].copy(), lu[p].copy()
@@ -43,6 +47,7 @@ def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], pos: list[int],
         y[p], y[q] = y[q], y[p]
         perm[p], perm[q] = k, perm[p]
         pos[k], pos[perm[q]] = p, q
+    catch_up_column(lu, p, j0)
     if s < 0:
         lu[:, p] *= -1.0
     lu[p, p] += 1.0
@@ -84,7 +89,7 @@ def sge_solve(problem: AveProblem) -> SolveReport:
     perm, pos = list(range(n)), list(range(n))
     signs = np.ones(n, dtype=np.int64)
     trace: list[EliminationRecord] = []
-    p = 0
+    p = j0 = 0
     round_no = 0
     try:
         while n - p > 1:
@@ -93,8 +98,8 @@ def sge_solve(problem: AveProblem) -> SolveReport:
                 # Closed subsystem with zero right-hand side: its solution is 0.
                 break
             for k, s in picks:
-                _pin(lu, y, perm, pos, p, k, s, threshold)
-                elimination_step(lu, p, y)
+                _pin(lu, y, perm, pos, p, k, s, threshold, j0)
+                j0 = elimination_step(lu, p, j0, y)
                 trace.append(EliminationRecord(index=k, sign=s, round=round_no))
                 signs[k] = s
                 p += 1
@@ -102,7 +107,7 @@ def sge_solve(problem: AveProblem) -> SolveReport:
 
         if n - p == 1:
             signs[perm[p]] = s = 1 if y[p] >= 0.0 else -1
-            _pin(lu, y, perm, pos, p, perm[p], s, threshold)
+            _pin(lu, y, perm, pos, p, perm[p], s, threshold, j0)
             p += 1
     except PivotBreakdown:
         return SolveReport(

@@ -26,6 +26,22 @@ class TestInfinityNorm:
         assert la.one_norm(a) == 4.0
 
 
+def unblocked_pivots(a):
+    """Row order and parity of partial pivoting by one rank-1 update per pivot."""
+    lu = np.array(a, dtype=float)
+    n = lu.shape[0]
+    perm, sign = np.arange(n), 1
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            sign = -sign
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return perm, sign
+
+
 class TestLu:
     def test_identity(self):
         f = la.lu_factor(np.eye(3))
@@ -48,6 +64,21 @@ class TestLu:
         n = 2 + seed % 7
         a = random_matrix(seed, n)
         f = la.lu_factor(a)
+        lower = np.tril(f.lu, -1) + np.eye(n)
+        upper = np.triu(f.lu)
+        err = np.abs(a[f.perm] - lower @ upper).max()
+        assert err <= 1e-12 * (1.0 + la.infinity_norm(a))
+
+    @pytest.mark.parametrize("n", [130, 200])
+    @pytest.mark.parametrize("make", [random_matrix, well_conditioned_matrix])
+    def test_panels_match_unblocked_reference(self, make, n):
+        # Wider than la._PANEL, so the factorization flushes full panels
+        # and finishes on a partial one.
+        a = make(n, n)
+        f = la.lu_factor(a)
+        perm, sign = unblocked_pivots(a)
+        assert np.array_equal(f.perm, perm)
+        assert f.sign == sign
         lower = np.tril(f.lu, -1) + np.eye(n)
         upper = np.triu(f.lu)
         err = np.abs(a[f.perm] - lower @ upper).max()

@@ -93,6 +93,17 @@ class TestNewtonSolve:
             z_ref = oracle.unique_solution(problem)
             assert np.abs(report.z - z_ref).max() <= 1e-8 * (1 + np.abs(z_ref).max())
 
+    @pytest.mark.parametrize(
+        "cls", ["norm_lt_half", "irreducible_half", "sdd_two_thirds", "tridiag_abs_sym"]
+    )
+    def test_beyond_one_panel_reaches_known_z(self, cls):
+        # n = 150 spans more than one elimination panel of lu_factor.
+        problem, z_true = pr.random_instance(cls, 150, 15)
+        report = newton_solve(problem)
+        assert report.status == Status.CONVERGED
+        assert report.iterations <= problem.n + 1
+        assert np.abs(report.z - z_true).max() <= 1e-8 * (1.0 + np.abs(z_true).max())
+
     def test_monotone_error_below_one_third(self):
         for i in range(20):
             n = 2 + i % 4

@@ -5,29 +5,38 @@ from avekit import analysis as an
 from avekit import problems as pr
 from avekit import oracle
 from avekit.errors import PivotBreakdown
-from avekit.linalg import elimination_step, infinity_norm, pivot_threshold
+from avekit import linalg
+from avekit.linalg import _flush_panel, elimination_step, infinity_norm, pivot_threshold
 from avekit.report import Status
 from avekit.sge import _pin, _round_picks, sge_solve
 
 from conftest import rng
 
 
+GUARANTEED = ("norm_lt_half", "irreducible_half", "sdd_two_thirds", "tridiag_abs_sym")
+
+
 class Elimination:
     """SGE's elimination state on (a, b), driven one pick at a time: the
     factors ``lu`` of P(I - AS)P^T (trailing block -A'), the
-    forward-substituted y, and the permutation with its inverse."""
+    forward-substituted y, and the permutation with its inverse.  The
+    open panel is flushed after every step, so the trailing block is the
+    true Schur complement."""
 
     def __init__(self, a, b):
         n = len(b)
         self.lu, self.y = -np.asarray(a, dtype=float), np.array(b, dtype=float)
         self.perm, self.pos = list(range(n)), list(range(n))
-        self.p = 0
+        self.p = self.j0 = 0
         self.threshold = pivot_threshold(a)
 
     def eliminate(self, k, s):
-        _pin(self.lu, self.y, self.perm, self.pos, self.p, k, s, self.threshold)
-        elimination_step(self.lu, self.p, self.y)
+        _pin(self.lu, self.y, self.perm, self.pos, self.p, k, s, self.threshold, self.j0)
+        self.j0 = elimination_step(self.lu, self.p, self.j0, self.y)
         self.p += 1
+        if self.j0 < self.p:
+            _flush_panel(self.lu, self.j0, self.p)
+            self.j0 = self.p
 
     def trailing(self):
         return -self.lu[self.p:, self.p:]
@@ -164,6 +173,27 @@ class TestSgeSolve:
             miss = np.abs(system @ report.z - problem.b).max()
             scale = 1.0 + infinity_norm(problem.a) * np.abs(report.z).max()
             assert miss <= 1e-12 * (scale + np.abs(problem.b).max())
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_panel_width_keeps_traces(self, monkeypatch, width):
+        # Tier-1 sizes fit in one panel of the default width; narrow panels
+        # flush between pivots and catch columns and rows up across panels.
+        problems = [pr.random_instance(cls, 2 + i % 7, 6000 + 100 * c + i)[0]
+                    for c, cls in enumerate(GUARANTEED) for i in range(50)]
+        default = [sge_solve(problem) for problem in problems]
+        monkeypatch.setattr(linalg, "_PANEL", width)
+        for problem, ref in zip(problems, default):
+            report = sge_solve(problem)
+            assert report.status == ref.status
+            assert report.elimination_trace == ref.elimination_trace
+            assert np.array_equal(report.signs, ref.signs)
+
+    @pytest.mark.parametrize("cls", GUARANTEED)
+    def test_beyond_one_panel_reaches_known_z(self, cls):
+        problem, z_true = pr.random_instance(cls, 150, 15)
+        report = sge_solve(problem)
+        assert report.status == Status.CONVERGED
+        assert np.abs(report.z - z_true).max() <= 1e-8 * (1.0 + np.abs(z_true).max())
 
     def test_status_and_report_fields(self):
         problem, _ = pr.random_instance("tridiag_abs_sym", 4, 5)
