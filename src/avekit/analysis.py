@@ -79,10 +79,10 @@ def is_irreducible(a) -> bool:
 def is_strictly_diag_dominant(a) -> bool:
     """True iff |a_ii| > sum_{j != i} |a_ij| for every row."""
     a = as_square_matrix(a)
-    abs_a = np.abs(a)
-    off = abs_a.copy()
+    off = np.abs(a)
+    diag = off.diagonal().copy()
     np.fill_diagonal(off, 0.0)
-    return bool((np.diag(abs_a) > off.sum(axis=1)).all())
+    return bool((diag > off.sum(axis=1)).all())
 
 
 def is_tridiag_abs_symmetric(a) -> bool:

@@ -6,6 +6,10 @@ sequences.  ``catch_up_column``, ``elimination_step`` and
 ``back_substitute`` are the one Gaussian elimination, a left-looking
 (Crout) LU in panels of ``_PANEL`` columns: ``lu_factor`` pivots it by
 rows, signed Gaussian elimination by symmetric swaps on ``I - A S``.
+Both eliminate columns 0, 1, ..., n-1 in that order and the panel is
+flushed exactly when it fills, so the open panel of column k always
+starts at ``k - k % _PANEL``; the kernel derives it and callers keep no
+panel state.
 Each Sturm search is one bisection on sign-variation counts:
 ``real_roots`` isolates and refines every root of one polynomial in the
 same loop, ``max_abs_real_roots`` brackets only the largest |root| over
@@ -94,10 +98,11 @@ class LuFactorization:
         return self.lu.shape[0]
 
 
-def catch_up_column(lu: np.ndarray, k: int, j0: int) -> None:
-    """Apply the pending updates of the open panel ``j0:k`` to column k
-    on and below the diagonal, so that its pivot can be chosen and
+def catch_up_column(lu: np.ndarray, k: int) -> None:
+    """Apply the pending updates of column k's open panel to column k on
+    and below the diagonal, so that its pivot can be chosen and
     checked."""
+    j0 = k - k % _PANEL
     if k > j0:
         lu[k:, k] -= lu[k:, j0:k] @ lu[j0:k, k]
 
@@ -110,24 +115,22 @@ def _flush_panel(lu: np.ndarray, j0: int, k: int) -> None:
         lu[i:i + _PANEL, k:] -= lu[i:i + _PANEL, j0:k] @ lu[j0:k, k:]
 
 
-def elimination_step(lu: np.ndarray, k: int, j0: int, rhs: np.ndarray | None = None) -> int:
+def elimination_step(lu: np.ndarray, k: int, rhs: np.ndarray | None = None) -> None:
     """One in-place Crout elimination step at the pivot ``lu[k, k]``,
     which the caller has caught up with ``catch_up_column``, chosen and
-    checked.  Row k of U takes the pending updates of the open panel
-    ``j0:k``, column k below the pivot becomes the multipliers (column k
-    of L) and ``rhs`` is forward-substituted.  The trailing block gets
-    the panel's updates only when the panel is full; returns the first
-    column of the panel that is open after the step."""
+    checked.  Row k of U takes the pending updates of its open panel,
+    column k below the pivot becomes the multipliers (column k of L) and
+    ``rhs`` is forward-substituted.  The trailing block gets the panel's
+    updates once column k fills the panel."""
+    j0 = k - k % _PANEL
     if k > j0:
         lu[k, k + 1:] -= lu[k, j0:k] @ lu[j0:k, k + 1:]
     below = lu[k + 1:, k]
     below /= lu[k, k]
     if rhs is not None:
         rhs[k + 1:] -= below * rhs[k]
-    if k + 1 - j0 < _PANEL:
-        return j0
-    _flush_panel(lu, j0, k + 1)
-    return k + 1
+    if k + 1 - j0 == _PANEL:
+        _flush_panel(lu, j0, k + 1)
 
 
 def back_substitute(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -150,9 +153,8 @@ def lu_factor(a) -> LuFactorization:
     n = lu.shape[0]
     perm = np.arange(n)
     sign = 1
-    j0 = 0
     for k in range(n):
-        catch_up_column(lu, k, j0)
+        catch_up_column(lu, k)
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[p, k]) <= threshold:
             raise SingularMatrix("pivot below singularity threshold")
@@ -160,7 +162,7 @@ def lu_factor(a) -> LuFactorization:
             lu[[k, p]] = lu[[p, k]]
             perm[[k, p]] = perm[[p, k]]
             sign = -sign
-        j0 = elimination_step(lu, k, j0)
+        elimination_step(lu, k)
     return LuFactorization(lu=lu, perm=perm, sign=sign)
 
 

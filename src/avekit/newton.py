@@ -42,17 +42,17 @@ def newton_solve(
     """Iterate z_{k+1} = (I - A S_k)^{-1} b until the signature repeats.
 
     ``start`` may be a vector (its signature seeds the iteration; default
-    is b itself) or a +-1 signature.  Stops as soon as the new iterate's
-    signature equals the one that produced it (the next step would
-    reproduce the iterate exactly) or the new iterate repeats the
-    previous one bitwise (stationarity can precede signature agreement
-    when A has zero columns); as a cycle when the signature matches any
-    earlier one; as singular when some I - A S_k has no LU
-    factorization; and as max_iterations otherwise.  Default budget is
-    n + 1 steps, which suffices whenever a sufficient condition holds.
+    is b itself) or a +-1 signature.  Converges as soon as the new
+    iterate's signature equals the one that produced it: the next step
+    would reproduce the iterate exactly.  Stops as a cycle when the
+    signature matches any earlier one; as singular when some I - A S_k
+    has no LU factorization; and as max_iterations otherwise.  Default
+    budget is n + 1 steps, which suffices whenever a sufficient
+    condition holds.
 
     ``iterations`` counts the steps up to the first stationary iterate;
-    a solve that merely re-confirms the previous iterate is not counted.
+    a solve that merely re-confirms the previous iterate bitwise (zero
+    columns of A allow this before the signatures agree) is not counted.
     """
     n = problem.n
     if max_iter is None:
@@ -66,7 +66,7 @@ def newton_solve(
 
     trace = NewtonTrace()
     trace.signatures.append(s_cur)
-    seen = {s_cur.tobytes(): 0}
+    seen = {s_cur.tobytes()}
     profile = condition_profile(problem.a)
 
     status = Status.MAX_ITERATIONS
@@ -78,39 +78,36 @@ def newton_solve(
         np.subtract(0.0, system, out=system)
         system.flat[:: n + 1] += 1.0
         try:
-            factor = lu_factor(system)
+            z_new = lu_solve(lu_factor(system), problem.b)
         except SingularMatrix:
             status = Status.SINGULAR
             break
-        z_new = lu_solve(factor, problem.b)
-        z_prev = trace.iterates[-1] if trace.iterates else None
+        # At step >= 2, s_cur is the signature of the previous iterate, so a
+        # bitwise repeat of that iterate also repeats its signature.
+        stationary = bool(trace.iterates) and np.array_equal(z_new, trace.iterates[-1])
         trace.iterates.append(z_new)
         trace.residuals.append(residual(problem, z_new))
         s_new = signature_of(z_new)
+        trace.signatures.append(s_new)
         z = z_new
         iterations = step
-        if z_prev is not None and np.array_equal(z_new, z_prev):
-            # Stationary: the previous iterate was already the solution and
-            # this solve only confirmed it.
-            status = Status.CONVERGED
-            iterations = step - 1
-            trace.signatures.append(s_new)
-            break
         if np.array_equal(s_new, s_cur):
             status = Status.CONVERGED
-            # Record the implied confirming step: resolving with the same
-            # signature reproduces z_new bitwise.
-            trace.signatures.append(s_new)
-            trace.iterates.append(z_new.copy())
-            trace.residuals.append(trace.residuals[-1])
+            if stationary:
+                # The previous iterate was already the solution and this
+                # solve only confirmed it.
+                iterations = step - 1
+            else:
+                # Record the implied confirming step: resolving with the
+                # same signature reproduces z_new bitwise.
+                trace.iterates.append(z_new.copy())
+                trace.residuals.append(trace.residuals[-1])
             break
         key = s_new.tobytes()
         if key in seen:
             status = Status.CYCLE
-            trace.signatures.append(s_new)
             break
-        seen[key] = len(trace.signatures)
-        trace.signatures.append(s_new)
+        seen.add(key)
         s_cur = s_new
 
     return SolveReport(

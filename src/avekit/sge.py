@@ -34,20 +34,19 @@ class EliminationRecord:
     round: int
 
 
-def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], pos: list[int],
-         p: int, k: int, s: int, threshold: float, j0: int) -> None:
+def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], p: int, k: int, s: int,
+         threshold: float) -> None:
     """Move original index k to pivot position p (``perm`` maps positions
-    to indices, ``pos`` is its inverse), catch its column up with the open
-    panel ``j0:p``, make it that of I - A S for sign(z_k) = s, and raise
-    PivotBreakdown when the pivot 1 - a'_kk s vanishes."""
-    q = pos[k]
+    to indices), catch its column up with the open panel, make it that of
+    I - A S for sign(z_k) = s, and raise PivotBreakdown when the pivot
+    1 - a'_kk s vanishes."""
+    q = perm.index(k, p)
     if q != p:
         lu[p], lu[q] = lu[q].copy(), lu[p].copy()
         lu[:, p], lu[:, q] = lu[:, q].copy(), lu[:, p].copy()
         y[p], y[q] = y[q], y[p]
         perm[p], perm[q] = k, perm[p]
-        pos[k], pos[perm[q]] = p, q
-    catch_up_column(lu, p, j0)
+    catch_up_column(lu, p)
     if s < 0:
         lu[:, p] *= -1.0
     lu[p, p] += 1.0
@@ -55,7 +54,7 @@ def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], pos: list[int],
         raise PivotBreakdown(f"1 - a[{k},{k}]*({s:+d}) vanished")
 
 
-def _round_picks(y: np.ndarray, perm: list[int], pos: list[int], p: int) -> list[tuple[int, int]]:
+def _round_picks(y: np.ndarray, perm: list[int], p: int) -> list[tuple[int, int]]:
     """(index, sign) of every maximal-|y| index at position p or later,
     in ascending index order, signs read before any is eliminated; empty
     when that y is all zero."""
@@ -63,8 +62,8 @@ def _round_picks(y: np.ndarray, perm: list[int], pos: list[int], p: int) -> list
     top = max(mags)
     if top == 0.0:
         return []
-    chosen = sorted(perm[p + i] for i, m in enumerate(mags) if m == top)
-    return [(k, 1 if y[pos[k]] >= 0.0 else -1) for k in chosen]
+    chosen = sorted((perm[p + i], p + i) for i, m in enumerate(mags) if m == top)
+    return [(k, 1 if y[q] >= 0.0 else -1) for k, q in chosen]
 
 
 def sge_solve(problem: AveProblem) -> SolveReport:
@@ -86,20 +85,20 @@ def sge_solve(problem: AveProblem) -> SolveReport:
     threshold = pivot_threshold(problem.a)
     lu = -problem.a
     y = problem.b.copy()
-    perm, pos = list(range(n)), list(range(n))
+    perm = list(range(n))
     signs = np.ones(n, dtype=np.int64)
     trace: list[EliminationRecord] = []
-    p = j0 = 0
+    p = 0
     round_no = 0
     try:
         while n - p > 1:
-            picks = _round_picks(y, perm, pos, p)
+            picks = _round_picks(y, perm, p)
             if not picks:
                 # Closed subsystem with zero right-hand side: its solution is 0.
                 break
             for k, s in picks:
-                _pin(lu, y, perm, pos, p, k, s, threshold, j0)
-                j0 = elimination_step(lu, p, j0, y)
+                _pin(lu, y, perm, p, k, s, threshold)
+                elimination_step(lu, p, y)
                 trace.append(EliminationRecord(index=k, sign=s, round=round_no))
                 signs[k] = s
                 p += 1
@@ -107,7 +106,7 @@ def sge_solve(problem: AveProblem) -> SolveReport:
 
         if n - p == 1:
             signs[perm[p]] = s = 1 if y[p] >= 0.0 else -1
-            _pin(lu, y, perm, pos, p, perm[p], s, threshold, j0)
+            _pin(lu, y, perm, p, perm[p], s, threshold)
             p += 1
     except PivotBreakdown:
         return SolveReport(

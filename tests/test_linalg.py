@@ -71,18 +71,20 @@ class TestLu:
 
     @pytest.mark.parametrize("n", [130, 200])
     @pytest.mark.parametrize("make", [random_matrix, well_conditioned_matrix])
-    def test_panels_match_unblocked_reference(self, make, n):
+    def test_panels_match_unblocked_reference(self, monkeypatch, make, n):
         # Wider than la._PANEL, so the factorization flushes full panels
-        # and finishes on a partial one.
+        # and finishes on a partial one, at the default width and others.
         a = make(n, n)
-        f = la.lu_factor(a)
         perm, sign = unblocked_pivots(a)
-        assert np.array_equal(f.perm, perm)
-        assert f.sign == sign
-        lower = np.tril(f.lu, -1) + np.eye(n)
-        upper = np.triu(f.lu)
-        err = np.abs(a[f.perm] - lower @ upper).max()
-        assert err <= 1e-12 * (1.0 + la.infinity_norm(a))
+        for width in (1, 3, 64):
+            monkeypatch.setattr(la, "_PANEL", width)
+            f = la.lu_factor(a)
+            assert np.array_equal(f.perm, perm)
+            assert f.sign == sign
+            lower = np.tril(f.lu, -1) + np.eye(n)
+            upper = np.triu(f.lu)
+            err = np.abs(a[f.perm] - lower @ upper).max()
+            assert err <= 1e-12 * (1.0 + la.infinity_norm(a))
 
     def test_solve_identity(self):
         b = np.array([3.0, -4.0, 5.0])

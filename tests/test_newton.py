@@ -59,6 +59,13 @@ class TestNewtonSolve:
         assert report.status == Status.CONVERGED
         assert report.iterations == 1
         assert np.array_equal(report.z, b)
+        # The second solve repeats the first iterate bitwise: the stationary
+        # exit, which records no synthetic confirming entry.
+        trace = report.newton_trace
+        assert [s.tolist() for s in trace.signatures] == [[-1, -1], [1, -1], [1, -1]]
+        assert len(trace.iterates) == 2
+        assert all(np.array_equal(z, b) for z in trace.iterates)
+        assert trace.residuals == [0.0, 0.0]
 
     def test_default_start_is_rhs_signature(self):
         problem, _ = pr.random_instance("norm_lt_half", 4, 12)

@@ -6,7 +6,7 @@ from avekit import problems as pr
 from avekit import oracle
 from avekit.errors import PivotBreakdown
 from avekit import linalg
-from avekit.linalg import _flush_panel, elimination_step, infinity_norm, pivot_threshold
+from avekit.linalg import elimination_step, infinity_norm, pivot_threshold
 from avekit.report import Status
 from avekit.sge import _pin, _round_picks, sge_solve
 
@@ -19,29 +19,31 @@ GUARANTEED = ("norm_lt_half", "irreducible_half", "sdd_two_thirds", "tridiag_abs
 class Elimination:
     """SGE's elimination state on (a, b), driven one pick at a time: the
     factors ``lu`` of P(I - AS)P^T (trailing block -A'), the
-    forward-substituted y, and the permutation with its inverse.  The
-    open panel is flushed after every step, so the trailing block is the
-    true Schur complement."""
+    forward-substituted y, and the permutation.  Used under the
+    ``one_column_panels`` fixture, so every step flushes its panel and the
+    trailing block is the true Schur complement."""
 
     def __init__(self, a, b):
-        n = len(b)
         self.lu, self.y = -np.asarray(a, dtype=float), np.array(b, dtype=float)
-        self.perm, self.pos = list(range(n)), list(range(n))
-        self.p = self.j0 = 0
+        self.perm = list(range(len(b)))
+        self.p = 0
         self.threshold = pivot_threshold(a)
 
     def eliminate(self, k, s):
-        _pin(self.lu, self.y, self.perm, self.pos, self.p, k, s, self.threshold, self.j0)
-        self.j0 = elimination_step(self.lu, self.p, self.j0, self.y)
+        _pin(self.lu, self.y, self.perm, self.p, k, s, self.threshold)
+        elimination_step(self.lu, self.p, self.y)
         self.p += 1
-        if self.j0 < self.p:
-            _flush_panel(self.lu, self.j0, self.p)
-            self.j0 = self.p
 
     def trailing(self):
         return -self.lu[self.p:, self.p:]
 
 
+@pytest.fixture
+def one_column_panels(monkeypatch):
+    monkeypatch.setattr(linalg, "_PANEL", 1)
+
+
+@pytest.mark.usefixtures("one_column_panels")
 class TestElimStep:
     def test_worked_example(self):
         # Hand evaluation: pivot 1 - 1/4 = 3/4, multiplier -1/2 / (3/4) = -2/3.
@@ -71,7 +73,7 @@ class TestElimStep:
         e = Elimination(problem.a, problem.b)
         signs = np.zeros(5)
         for k in (3, 0, 4, 1, 2):
-            signs[k] = 1 if e.y[e.pos[k]] >= 0 else -1
+            signs[k] = 1 if e.y[e.perm.index(k)] >= 0 else -1
             e.eliminate(k, int(signs[k]))
         lower = np.tril(e.lu, -1) + np.eye(5)
         upper = np.triu(e.lu)
@@ -149,6 +151,16 @@ class TestSgeSolve:
         assert rounds == sorted(rounds)
         assert len(indices) == problem.n - 1  # no ties for random b
 
+    def test_tie_round_with_displaced_pick(self):
+        # Round 1 ties indices 0 and 1; pinning 0 swaps it out of position
+        # 2, moving the still-pending index 1 there.
+        b = np.array([1.0, -1.0, 2.0, 0.5, 0.25])
+        report = sge_solve(pr.AveProblem(0.25 * np.eye(5), b))
+        trace = [(r.index, r.sign, r.round) for r in report.elimination_trace]
+        assert trace == [(2, 1, 0), (0, 1, 1), (1, -1, 1), (3, 1, 2)]
+        assert np.array_equal(report.signs, [1, -1, 1, 1, 1])
+        assert np.array_equal(report.z, b / (1.0 - 0.25 * report.signs))
+
     def test_unit_diagonal_reports_breakdown(self):
         report = sge_solve(pr.AveProblem(np.array([[1.0]]), np.array([2.0])))
         assert report.status == Status.PIVOT_BREAKDOWN
@@ -203,11 +215,12 @@ class TestSgeSolve:
         assert report.iterations == len(report.elimination_trace)
 
 
+@pytest.mark.usefixtures("one_column_panels")
 class TestConditionInvariance:
     def _replay_with_checks(self, problem, predicate):
         e = Elimination(problem.a, problem.b)
         while problem.n - e.p > 1:
-            picks = _round_picks(e.y, e.perm, e.pos, e.p)
+            picks = _round_picks(e.y, e.perm, e.p)
             if not picks:
                 break
             for k, s in picks:
