@@ -6,12 +6,16 @@ Problems travel as JSON files:
      "known_solution": [...]?, "metadata": {...}?}
 
 Reports are JSON too, with the residual always recomputed from the raw
-inputs, streamed to ``--out`` or stdout.  The commands raise; ``main``
-is the one error boundary and turns any ``CliError``, ``AvekitError``,
-``ValueError`` or ``OSError`` (an unreadable input, an unwritable
-``--out``) into a single ``error: ...`` line on stderr.  Exit codes: 0
-on a converged/unique result, 2 on any non-convergent solver status, 1
-on I/O or validation errors.
+inputs.  ``_write_json`` is the one writer: it streams the bytes of
+``json.dump(data, indent=2)`` to ``--out`` or stdout, writes ndarrays as
+their nested lists one row at a time, and joins each list of finite
+floats in one call.  The argument parser is built once, at import.
+
+The commands raise; ``main`` is the one error boundary and turns any
+``CliError``, ``AvekitError``, ``ValueError`` or ``OSError`` (an
+unreadable input, an unwritable ``--out``) into a single ``error: ...``
+line on stderr.  Exit codes: 0 on a converged/unique result, 2 on any
+non-convergent solver status, 1 on I/O or validation errors.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -94,21 +100,88 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
 
 
 def problem_to_dict(problem: AveProblem, known=None, metadata=None) -> dict:
+    """The problem file's fields; ``_write_json`` writes the arrays."""
     out = {
         "n": problem.n,
-        "A": problem.a.tolist(),
-        "b": problem.b.tolist(),
+        "A": problem.a,
+        "b": problem.b,
     }
     if known is not None:
-        out["known_solution"] = np.asarray(known, dtype=float).tolist()
+        out["known_solution"] = np.asarray(known, dtype=float)
     if metadata:
         out["metadata"] = metadata
     return out
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, float):
+        key = _json_float(key)
+    elif key is True or key is False or key is None:
+        key = {True: "true", False: "false", None: "null"}[key]
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_chunks(value, level: int):
+    """The text of ``json.dump(value, indent=2)``, in pieces.
+
+    An ndarray is written as its nested list, row by row.  A list made
+    only of finite floats is one join, and no other value is special.
+    """
+    if isinstance(value, np.ndarray):
+        value = list(value) if value.ndim > 1 else value.tolist()
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, float):
+        yield _json_float(value)
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            yield "{}" if isinstance(value, dict) else "[]"
+            return
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level
+        if isinstance(value, dict):
+            yield "{"
+            for i, (key, item) in enumerate(value.items()):
+                yield ("," if i else "") + inner + _json_key(key) + ": "
+                yield from _json_chunks(item, level + 1)
+            yield close + "}"
+        elif set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + close + "]"
+        else:
+            for i, item in enumerate(value):
+                yield ("," if i else "[") + inner
+                yield from _json_chunks(item, level + 1)
+            yield close + "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(data: dict, out: str | None) -> None:
+    """Write ``data`` as ``json.dump(data, indent=2)`` would, plus a newline."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
-        json.dump(data, handle, indent=2)
+        handle.writelines(_json_chunks(data, 0))
         handle.write("\n")
 
 
@@ -369,8 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (CliError, AvekitError, ValueError, OSError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import XorShift64Star
+from ._rng import XorShift64Star, to_uniform
 from .analysis import condition_profile
 from .errors import GenerationFailed, SingularMatrix, SingularTransform
 from .linalg import as_square_matrix, as_vector, infinity_norm, lu_factor, lu_solve
@@ -141,10 +141,58 @@ def _force_abs_row_sum(row: np.ndarray, target: float) -> None:
         row[j] = sign * np.nextafter(abs(row[j]), 0.0)
 
 
+def _signs(r: np.ndarray) -> np.ndarray:
+    """The +-1 of a sign draw for each unit draw in r (1 below 0.5)."""
+    return np.where(r < 0.5, 1.0, -1.0)
+
+
+def _draw_with_followers(rng: XorShift64Star, hit, heads: int | None = None,
+                         hits: int | None = None):
+    """Draw a stream in which every head draw r with hit(r) is followed by
+    one more draw, its follower, up to ``heads`` heads or, with ``hits``,
+    up to ``hits`` hit heads and their followers.
+
+    Returns (the hit mask of the heads, the hit heads, their followers),
+    having drawn exactly what the scalar loop would: each batch is the
+    fewest draws still certain to be needed.  A draw is a head unless the
+    draw before it is a hit head.  So within a batch a draw is a head
+    when an even number of draws separate it from the start of its run;
+    a run starts at the batch's first draw (one earlier when that draw is
+    a pending follower) and after each miss.
+    """
+    hit_parts, hit_head_parts, follower_parts = [np.empty(0, dtype=bool)], [np.empty(0)], [np.empty(0)]
+    got = 0
+    follower_due = False
+    while True:
+        # Each head still needed takes at least one draw, each hit two.
+        count = (heads - got if hits is None else 2 * (hits - got)) + follower_due
+        if count == 0:
+            break
+        x = rng.random_array(count)
+        h = hit(x)
+        start = np.arange(count)
+        start[1:][h[:-1]] = -1
+        start[0] = -1 if follower_due else 0
+        np.maximum.accumulate(start, out=start)
+        start ^= np.arange(count)
+        at = np.flatnonzero((start & 1) == 0)
+        head_hit = h[at]
+        hit_at = at[head_hit]
+        if follower_due:
+            follower_parts.append(x[:1])
+        follower_due = bool(len(hit_at) and hit_at[-1] == count - 1)
+        follower_parts.append(x[hit_at[: len(hit_at) - follower_due] + 1])
+        hit_parts.append(head_hit)
+        hit_head_parts.append(x[hit_at])
+        got += len(at) if hits is None else len(hit_at)
+    return (np.concatenate(hit_parts), np.concatenate(hit_head_parts),
+            np.concatenate(follower_parts))
+
+
 def _gen_norm_lt_half(rng: XorShift64Star, n: int) -> np.ndarray:
     a = rng.uniform_array((n, n))
-    for i in range(n):
-        target = rng.uniform(0.05, 0.499)
+    targets = rng.uniform_array(n, 0.05, 0.499)
+    for i, target in enumerate(targets.tolist()):
         s = float(np.abs(a[i]).sum())
         if s > 0.0:
             a[i] *= target / s
@@ -153,34 +201,37 @@ def _gen_norm_lt_half(rng: XorShift64Star, n: int) -> np.ndarray:
 
 def _gen_irreducible_half(rng: XorShift64Star, n: int) -> np.ndarray:
     a = np.zeros((n, n))
-    cycle = rng.permutation(n)
-    for idx in range(n):
-        i, j = cycle[idx], cycle[(idx + 1) % n]
-        a[i, j] = rng.uniform(0.2, 1.0) * rng.sign()
-    for i in range(n):
-        for j in range(n):
-            if a[i, j] == 0.0 and i != j and rng.random() < 0.15:
-                a[i, j] = rng.uniform(-1.0, 1.0)
+    cycle = np.array(rng.permutation(n))
+    draws = rng.random_array(2 * n).reshape(n, 2)
+    a[cycle, np.roll(cycle, -1)] = to_uniform(draws[:, 0], 0.2, 1.0) * _signs(draws[:, 1])
+    # Each empty off-diagonal entry, in row-major order, is filled with
+    # probability 0.15, by a second draw.
+    empty = np.flatnonzero((a == 0.0) & ~np.eye(n, dtype=bool))
+    filled, _hit_tests, values = _draw_with_followers(rng, lambda r: r < 0.15, heads=len(empty))
+    a.flat[empty[filled]] = to_uniform(values, -1.0, 1.0)
     a *= 0.5 / infinity_norm(a)
+    sums = np.abs(a).sum(axis=1)
     for i in range(n):
         s = float(np.abs(a[i]).sum())
-        if s >= 0.5 or i == int(np.argmax(np.abs(a).sum(axis=1))):
+        if s >= 0.5 or i == int(np.argmax(sums)):
             _force_abs_row_sum(a[i], 0.5)
+            sums = np.abs(a).sum(axis=1)
     return a
 
 
 def _gen_sdd_two_thirds(rng: XorShift64Star, n: int) -> np.ndarray:
     a = rng.uniform_array((n, n))
     np.fill_diagonal(a, 0.0)
-    for i in range(n):
+    # Per row: uniform(1, 1.5) redrawn while it rounds to 1, then a sign.
+    _accepted, candidates, signs = _draw_with_followers(
+        rng, lambda r: to_uniform(r, 1.0, 1.5) > 1.0, hits=n)
+    scales = to_uniform(candidates, 1.0, 1.5).tolist()
+    for i, (u, sign) in enumerate(zip(scales, _signs(signs).tolist())):
         off = float(np.abs(a[i]).sum())
         if off == 0.0:
             a[i, (i + 1) % n] = 0.1
             off = 0.1
-        u = rng.uniform(1.0, 1.5)
-        while u <= 1.0:
-            u = rng.uniform(1.0, 1.5)
-        a[i, i] = off * u * rng.sign()
+        a[i, i] = off * u * sign
     a *= rng.uniform(0.25, 0.66) / infinity_norm(a)
     return a
 
@@ -189,12 +240,12 @@ def _gen_tridiag_abs_sym(rng: XorShift64Star, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("tridiag_abs_sym needs n >= 2")
     a = np.zeros((n, n))
-    for i in range(n - 1):
-        mag = rng.uniform(0.05, 1.0)
-        a[i, i + 1] = mag * rng.sign()
-        a[i + 1, i] = mag * rng.sign()
-    for i in range(n):
-        a[i, i] = rng.uniform(-1.0, 1.0)
+    draws = rng.random_array(3 * (n - 1)).reshape(n - 1, 3)
+    mags = to_uniform(draws[:, 0], 0.05, 1.0)
+    i = np.arange(n - 1)
+    a[i, i + 1] = mags * _signs(draws[:, 1])
+    a[i + 1, i] = mags * _signs(draws[:, 2])
+    np.fill_diagonal(a, rng.uniform_array(n, -1.0, 1.0))
     a *= rng.uniform(0.3, 0.99) / infinity_norm(a)
     return a
 
@@ -203,8 +254,8 @@ def _gen_norm_lt_third(rng: XorShift64Star, n: int) -> np.ndarray:
     a = rng.uniform_array((n, n))
     hot = rng.below(n)
     hot_target = rng.uniform(0.2, 0.3299)
-    for i in range(n):
-        target = hot_target if i == hot else rng.uniform(0.05, hot_target)
+    targets = np.insert(rng.uniform_array(n - 1, 0.05, hot_target), hot, hot_target)
+    for i, target in enumerate(targets.tolist()):
         s = float(np.abs(a[i]).sum())
         if s > 0.0:
             a[i] *= target / s

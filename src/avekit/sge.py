@@ -42,8 +42,8 @@ def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], p: int, k: int, s: int,
     1 - a'_kk s vanishes."""
     q = perm.index(k, p)
     if q != p:
-        lu[p], lu[q] = lu[q].copy(), lu[p].copy()
-        lu[:, p], lu[:, q] = lu[:, q].copy(), lu[:, p].copy()
+        lu[p], lu[q] = lu[q], lu[p].copy()
+        lu[:, p], lu[:, q] = lu[:, q], lu[:, p].copy()
         y[p], y[q] = y[q], y[p]
         perm[p], perm[q] = k, perm[p]
     catch_up_column(lu, p)

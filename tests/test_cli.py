@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from avekit import cli
 from avekit import problems as pr
@@ -20,7 +21,7 @@ def read_json(path):
 
 
 def write_problem(path, problem):
-    path.write_text(json.dumps(cli.problem_to_dict(problem)))
+    cli._write_json(cli.problem_to_dict(problem), str(path))
     return str(path)
 
 
@@ -57,6 +58,40 @@ class TestGenerate:
             "2c2d175c9872b22b4f9d9990e4c2da3785865416c28e027cb7de75fd0816ce76"
         )
 
+    # sha256 of the generate output at n = 40, seed 5, taken before the
+    # array draws and the row writer replaced the scalar loops and json.dump.
+    @pytest.mark.parametrize("args, rhs, digest", [
+        (("norm-lt-half",), "from-random-z",
+         "6b1901a40ccde45c27550e78e6222e628097388c33d32cad8aabd9ecf906e2a4"),
+        (("norm-lt-half",), "explicit",
+         "a3712bed3fac4cd15d9f1bccbeaec06d4f8bf561d9d1a02f35f907b3624de516"),
+        (("irreducible-half",), "from-random-z",
+         "4977f834bc45bcffc5435c6ed10405f6aae4c10b820b19e6ad4a3e20c0f5a7f8"),
+        (("irreducible-half",), "explicit",
+         "f0a46cae8867a2575b071c65875f3166ecf88063c13ecf2f593682be5352d975"),
+        (("sdd-two-thirds",), "from-random-z",
+         "4144a3f2ffeb0a5413fc44c44f480b609fb287d98e56f599103cf80f6b29323e"),
+        (("sdd-two-thirds",), "explicit",
+         "5152e7f94cef39895979c06c58cc54b3006880a1d9192f0787e65e6d9ba288a6"),
+        (("tridiag",), "from-random-z",
+         "eea9c23db51792325e6f086cc89939261ba05fb3645167e3e41483fea9de944d"),
+        (("tridiag",), "explicit",
+         "6656ecf7d7eef6a8700c6bb4a8677386059214229aeffc82d9b53a32c0129145"),
+        (("norm-lt-third",), "from-random-z",
+         "803b5f94f534610430a313d1881a170337166b0b7103b1c0b96a5d885c9a407f"),
+        (("norm-lt-third",), "explicit",
+         "e1890f4a51bd16b2057429539e61d5b072cdd4e134cf7d719c3774894c46da56"),
+        (("unconstrained", "--nu", "1.5"), "from-random-z",
+         "95f5fdfc01ef0f5d6a26370d66bf4c9c598562a643468578c1cd194d2c051c8b"),
+        (("unconstrained", "--nu", "1.5"), "explicit",
+         "f77cb374c5065c9b5f6d4aced618bd7ce79ff03075226f86a0be01e5bba9e539"),
+    ])
+    def test_pinned_bytes_per_class(self, tmp_path, args, rhs, digest):
+        path = tmp_path / "p.json"
+        assert run("generate", "--class", *args, "--n", "40", "--seed", "5", "--rhs", rhs,
+                   "--out", str(path)) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_trap_instance_payload(self, trap_file):
         data = read_json(trap_file)
         assert data["n"] == 2
@@ -79,7 +114,7 @@ class TestGenerate:
         assert np.array_equal(problem.b, np.array(data["b"]))
         # Serializing the parsed problem again reproduces the numbers.
         again = cli.problem_to_dict(problem, known)
-        assert again["A"] == data["A"] and again["b"] == data["b"]
+        assert again["A"].tolist() == data["A"] and again["b"].tolist() == data["b"]
 
 
 class TestSolve:
@@ -147,7 +182,7 @@ class TestSolve:
         data = cli.problem_to_dict(pr.AveProblem(np.zeros((1, 1)), np.ones(1)))
         data[field] = value
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        cli._write_json(data, str(path))
         assert run("solve", str(path)) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
@@ -169,7 +204,7 @@ class TestAnalyze:
     def test_quarter_identity(self, tmp_path):
         path = tmp_path / "p.json"
         problem = pr.AveProblem(0.25 * np.eye(2), np.ones(2))
-        path.write_text(json.dumps(cli.problem_to_dict(problem)))
+        write_problem(path, problem)
         out = tmp_path / "a.json"
         assert run("analyze", str(path), "--out", str(out)) == 0
         data = read_json(str(out))
@@ -181,7 +216,7 @@ class TestAnalyze:
     def test_inflated_identity_not_det_positive(self, tmp_path):
         path = tmp_path / "p.json"
         problem = pr.AveProblem(pr.inflated_identity(0.1, 3), np.ones(3))
-        path.write_text(json.dumps(cli.problem_to_dict(problem)))
+        write_problem(path, problem)
         out = tmp_path / "a.json"
         assert run("analyze", str(path), "--out", str(out)) == 0
         assert read_json(str(out))["det_positive_all_signatures"] is False
@@ -190,7 +225,7 @@ class TestAnalyze:
         n = 13
         path = tmp_path / "big.json"
         problem = pr.AveProblem(np.zeros((n, n)), np.zeros(n))
-        path.write_text(json.dumps(cli.problem_to_dict(problem)))
+        write_problem(path, problem)
         out = tmp_path / "a.json"
         assert run("analyze", str(path), "--out", str(out)) == 0
         data = read_json(str(out))
@@ -288,8 +323,43 @@ def test_loader_returns_or_raises_cli_error(tmp_path_factory, field, value):
     data = cli.problem_to_dict(pr.AveProblem(np.zeros((2, 2)), np.ones(2)))
     data[field] = value
     path = tmp_path_factory.mktemp("fuzz") / "p.json"
-    path.write_text(json.dumps(data))
+    cli._write_json(data, str(path))
     try:
         cli.load_problem(str(path))
     except cli.CliError:
         pass
+
+
+SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, float("nan"),
+                                  float("inf"), float("-inf"), 1e300])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | SPECIAL_FLOATS
+               | st.text(max_size=6))
+JSON_KEYS = st.text(max_size=4) | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_DATA = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(st.floats() | SPECIAL_FLOATS, max_size=6)
+    | st.dictionaries(JSON_KEYS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def written_text(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("write") / "out.json"
+    cli._write_json(data, str(path))
+    return path.read_bytes().decode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=JSON_DATA)
+def test_write_json_is_json_dump_text(tmp_path_factory, data):
+    assert written_text(tmp_path_factory, data) == json.dumps(data, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+                      elements=st.floats() | SPECIAL_FLOATS))
+def test_write_json_writes_arrays_as_their_lists(tmp_path_factory, arr):
+    data = {"A": arr, "n": 1}
+    assert written_text(tmp_path_factory, data) == json.dumps(
+        {"A": arr.tolist(), "n": 1}, indent=2) + "\n"

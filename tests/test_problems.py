@@ -3,6 +3,7 @@ import pytest
 
 from avekit import analysis as an
 from avekit import problems as pr
+from avekit._rng import XorShift64Star
 from avekit.errors import NotUnique, SingularTransform
 from avekit.linalg import infinity_norm
 from avekit.oracle import enumerate_solutions, unique_solution
@@ -100,6 +101,38 @@ class TestGenerators:
         problem, z = pr.random_instance("norm_lt_half", 5, 9, rhs="explicit")
         assert z is None
         assert np.abs(problem.b).max() <= 1.0
+
+
+class TestDrawWithFollowers:
+    """The batched stream against the scalar loop it replaces: draw a head
+    r; if hit(r), draw its follower."""
+
+    @staticmethod
+    def scalar_loop(rng, hit, heads=None, hits=None):
+        mask, hit_heads, followers = [], [], []
+        while (len(mask) if hits is None else len(hit_heads)) < (heads if hits is None else hits):
+            r = rng.random()
+            mask.append(hit(r))
+            if mask[-1]:
+                hit_heads.append(r)
+                followers.append(rng.random())
+        return mask, hit_heads, followers
+
+    # With p = 0 no head hits, so the scalar loop of the hits mode never ends.
+    @pytest.mark.parametrize("mode, p", [(mode, p) for mode in ("heads", "hits")
+                                         for p in (0.0, 0.15, 0.5, 0.97, 1.0)
+                                         if (mode, p) != ("hits", 0.0)])
+    @pytest.mark.parametrize("count", [0, 1, 2, 300])
+    def test_matches_scalar_loop(self, mode, p, count):
+        for seed in range(4):
+            batched, scalar = XorShift64Star(seed, 9), XorShift64Star(seed, 9)
+            hit = lambda r: r < p  # noqa: E731
+            mask, hit_heads, followers = pr._draw_with_followers(batched, hit, **{mode: count})
+            want = self.scalar_loop(scalar, hit, **{mode: count})
+            assert mask.tolist() == want[0]
+            assert hit_heads.tolist() == want[1]
+            assert followers.tolist() == want[2]
+            assert batched.random() == scalar.random()
 
 
 class TestCounterexamples:
