@@ -28,6 +28,10 @@ from .linalg import (
 # 2^n signature enumerations are kept below a second of work.
 MAX_ENUM_DIM = 12
 
+# Signatures, the nearest to failing at the last det sweep, whose own
+# determinants rho_sr_bisect bisects in t.
+_SEARCHED = 16
+
 
 def signature_of(z) -> np.ndarray:
     """Componentwise sign of z as a +-1 integer vector, with sign(0) = +1.
@@ -169,14 +173,20 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     return max_abs_real_roots(polys, infinity_norm(a), tol)
 
 
+def _systems(a: np.ndarray, signs: np.ndarray, scale):
+    """The stack I - (A/scale)S over the rows S of ``signs``, its
+    determinants and each matrix's ``pivot_threshold``.  ``scale`` is one
+    float or one per row; each matrix gets exactly the arithmetic of its
+    row in the stack of all signatures."""
+    mats = np.eye(a.shape[0]) - (a / np.asarray(scale)[..., None, None]) * signs[:, None, :]
+    return mats, np.linalg.det(mats), pivot_threshold(mats)
+
+
 def signature_systems(a: np.ndarray, scale: float = 1.0):
     """The stack I - (A/scale)S over all signatures S (in
     ``signature_stack(n)`` order), its determinants, and each matrix's
     ``pivot_threshold``."""
-    n = a.shape[0]
-    signs = signature_stack(n, fix_first=False)
-    mats = np.eye(n)[None, :, :] - (a[None, :, :] / scale) * signs[:, None, :]
-    return mats, np.linalg.det(mats), pivot_threshold(mats)
+    return _systems(a, signature_stack(a.shape[0]), scale)
 
 
 def det_positive_all_signatures(a) -> bool:
@@ -187,13 +197,50 @@ def det_positive_all_signatures(a) -> bool:
     return bool((dets > thr).all())
 
 
+def _sweep(a: np.ndarray, t: float) -> tuple[bool, np.ndarray]:
+    """One det sweep at scale t: whether every signature clears its
+    threshold, and the indices of the ``_SEARCHED`` signatures with the
+    smallest margins det - threshold."""
+    _mats, dets, thr = signature_systems(a, scale=t)
+    return bool((dets > thr).all()), np.argsort(dets - thr, kind="stable")[:_SEARCHED]
+
+
+def _crossing(a: np.ndarray, signs: np.ndarray, lo: float, hi: float, tol: float):
+    """Bisect the determinant of each row S, det(I - (A/t)S) against its
+    threshold, on [lo, hi] to a bracket of width <= tol whose left end is
+    lo or a scale where S fails and whose right end is hi or a scale
+    where S passes.  Returns the bracket with the largest left end."""
+    t_minus = np.full(len(signs), lo)
+    t_plus = np.full(len(signs), hi)
+    while (t_plus - t_minus).max() > tol:
+        mid = 0.5 * (t_minus + t_plus)
+        _mats, dets, thr = _systems(a, signs, mid)
+        passes = dets > thr
+        t_plus = np.where(passes, mid, t_plus)
+        t_minus = np.where(passes, t_minus, mid)
+    j = int(np.argmax(t_minus))
+    return float(t_minus[j]), float(t_plus[j])
+
+
 def rho_sr_bisect(a, tol: float = 1e-8) -> float:
-    """Sign-real spectral radius by determinant-positivity bisection.
+    """Sign-real spectral radius by determinant positivity.
 
     Uses the equivalence rho^R(A/t) < 1 iff det(I - (A/t)S) > 0 for all
-    signatures S, and bisects for the infimum of admissible t.  The upper
-    bracket is ||A||_inf, or 2||A||_inf if the threshold band rejects it
-    (at rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
+    signatures S, and brackets the infimum of admissible t between an
+    inadmissible ``lo`` and an admissible ``hi``.  The upper bracket is
+    ||A||_inf, or 2||A||_inf if the threshold band rejects it (at
+    rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
+
+    Each det sweep over all 2^n signatures also names the ``_SEARCHED``
+    signatures with the smallest margins det - threshold.  Their own
+    determinants are bisected on [lo, hi] (one small stack per step),
+    and the highest crossing [t-, t+] found moves ``lo`` up to t-, where
+    that signature fails.  One sweep at t+ then either confirms it, and
+    [t-, t+] is the final bracket, or moves ``lo`` to t+ and names the
+    next signatures.  After two sweeps in a row that fail to halve the
+    bracket, the next sweep bisects it, so the sweep count stays
+    logarithmic in ``(hi - lo) / tol``.  Returns the midpoint of the final
+    bracket, of width <= tol, or <= 4 ulp(hi) where that is wider.
     Independent of the enumeration route.
     """
     a = as_square_matrix(a)
@@ -202,21 +249,29 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     norm = infinity_norm(a)
     if norm == 0.0:
         return 0.0
-
-    def admissible(t: float) -> bool:
-        _mats, dets, thr = signature_systems(a, scale=t)
-        return bool((dets > thr).all())
-
     lo = pivot_threshold(a)
-    if admissible(lo):
+    if _sweep(a, lo)[0]:
         return 0.0
-    hi = norm if admissible(norm) else 2.0 * norm
+    ok, weakest = _sweep(a, norm)
+    lo, hi = (lo, norm) if ok else (norm, 2.0 * norm)
+    # No bracket gets narrower than a few ulps of hi, so a tol below that
+    # would never be met.
+    tol = max(tol, 4.0 * float(np.spacing(hi)))
+    signs = signature_stack(n)
+    misses = 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            hi = mid
+        width = hi - lo
+        lo, t = _crossing(a, signs[weakest], lo, hi, tol)
+        if hi - lo <= tol:
+            break
+        if misses == 2:
+            t = 0.5 * (lo + hi)
+        ok, weakest = _sweep(a, t)
+        if ok:
+            hi = t
         else:
-            lo = mid
+            lo = t
+        misses = misses + 1 if hi - lo > 0.5 * width else 0
     return 0.5 * (lo + hi)
 
 

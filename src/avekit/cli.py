@@ -5,6 +5,8 @@ Problems travel as JSON files:
     {"n": 2, "A": [[...], [...]], "b": [...],
      "known_solution": [...]?, "metadata": {...}?}
 
+``load_problem`` accepts what ``json.load`` accepts; it scans the file
+with the ``json`` module's own scanner and converts ``A`` row by row.
 Reports are JSON too, with the residual always recomputed from the raw
 inputs.  ``_write_json`` is the one writer: it streams the bytes of
 ``json.dump(data, indent=2)`` to ``--out`` or stdout, writes ndarrays as
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
 import time
+from json.decoder import WHITESPACE, JSONDecodeError, JSONDecoder, scanstring
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -66,14 +68,100 @@ def _numeric_field(path: str, data: dict, name: str) -> np.ndarray:
     return value
 
 
+_scan_once = JSONDecoder().scan_once
+_skip_ws = WHITESPACE.match
+
+
+def _scan_value(text: str, end: int):
+    """The JSON value starting at ``end`` and where it ends."""
+    try:
+        return _scan_once(text, end)
+    except StopIteration as exc:
+        raise JSONDecodeError("Expecting value", text, exc.value) from None
+
+
+def _scan_members(text: str, end: int, close: str, member) -> int:
+    """Scan the members of the JSON array or object whose opening bracket
+    ends at ``end`` and whose closing bracket is ``close``.
+    ``member(text, end)`` scans one member and returns where it ends;
+    returns where the container ends."""
+    end = _skip_ws(text, end).end()
+    if text[end:end + 1] == close:
+        return end + 1
+    while True:
+        end = _skip_ws(text, member(text, end)).end()
+        if text[end:end + 1] == close:
+            return end + 1
+        if text[end:end + 1] != ",":
+            raise JSONDecodeError("Expecting ',' delimiter", text, end)
+        end = _skip_ws(text, end + 1).end()
+
+
+def _parse_problem(text: str):
+    """``json.loads(text)``, except that when the top level is an object
+    and its "A" an array, that value is the list of the array's members,
+    each turned into a float array by ``np.asarray`` as soon as it is
+    scanned (a member that does not convert is kept as parsed).  So the
+    nested list of a dense ``A`` never exists, and ``np.asarray`` of the
+    list gives the same array, or the same failure, as of the parsed
+    value."""
+
+    def row(text: str, end: int) -> int:
+        value, end = _scan_value(text, end)
+        try:
+            value = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        data["A"].append(value)
+        return end
+
+    def field(text: str, end: int) -> int:
+        if text[end:end + 1] != '"':
+            raise JSONDecodeError("Expecting property name enclosed in double quotes", text, end)
+        key, end = scanstring(text, end + 1)
+        end = _skip_ws(text, end).end()
+        if text[end:end + 1] != ":":
+            raise JSONDecodeError("Expecting ':' delimiter", text, end)
+        end = _skip_ws(text, end + 1).end()
+        if key == "A" and text[end:end + 1] == "[":
+            data[key] = []
+            return _scan_members(text, end + 1, "]", row)
+        data[key], end = _scan_value(text, end)
+        return end
+
+    end = _skip_ws(text, 0).end()
+    if text[end:end + 1] == "{":
+        data: dict = {}
+        end = _scan_members(text, end + 1, "}", field)
+    else:
+        data, end = _scan_value(text, end)
+    end = _skip_ws(text, end).end()
+    if end != len(text):
+        raise JSONDecodeError("Extra data", text, end)
+    return data
+
+
 def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
+    """Read and validate a problem file.
+
+    The file must hold what ``json.load`` accepts, and ``A``, ``b`` and
+    ``known_solution`` are what ``np.asarray(value, dtype=float)`` makes
+    of the parsed values.  The top-level object is scanned value by value
+    with the ``json`` module's own scanner, and each row of ``A`` becomes
+    a float array as soon as it is scanned, so a dense ``A`` is never a
+    nested list of Python floats.  Any unreadable, invalid or
+    inconsistent file raises ``CliError`` naming the path and the field.
+    """
     try:
         with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        data = _parse_problem(text)
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    del text  # freed before the rows of A are stacked into one array
     if not isinstance(data, dict):
         raise CliError(f"{path}: top level must be an object")
     for name in ("n", "A", "b"):

@@ -409,7 +409,10 @@ def _count_variations(s: np.ndarray) -> np.ndarray:
     """Per-row sign variations of (m, L) sign values, skipping zeros."""
     m, L = s.shape
     nonzero = s != 0.0
-    idx = np.where(nonzero, np.arange(L)[None, :], -1)
+    # Positions in the smallest signed type that holds them (int8 here),
+    # which keeps these (m, L) temporaries small.
+    pos = np.arange(L, dtype=np.min_scalar_type(-L))
+    idx = np.where(nonzero, pos[None, :], pos.dtype.type(-1))
     last = np.maximum.accumulate(idx, axis=1)
     prev = np.empty_like(last)
     prev[:, 0] = -1
@@ -420,13 +423,16 @@ def _count_variations(s: np.ndarray) -> np.ndarray:
 
 
 def _variations_stack(chains: np.ndarray, x) -> np.ndarray:
-    """Sign variations of each row's chain evaluated at per-row points x."""
+    """Sign variations of each row's chain at the points x, which
+    broadcast against the m rows: one point or one per row gives ``(m,)``
+    counts, k points of shape ``(k, 1)`` give ``(k, m)`` counts without
+    copying the chains."""
     m, L, w = chains.shape
-    xcol = np.broadcast_to(np.asarray(x, dtype=float), (m,))[:, None]
-    vals = chains[:, :, 0].copy()
+    xcol = np.asarray(x, dtype=float)[..., None]
+    vals = np.broadcast_to(chains[:, :, 0], np.broadcast_shapes(xcol.shape, (m, L)))
     for j in range(1, w):
         vals = vals * xcol + chains[:, :, j]
-    return _count_variations(np.sign(vals))
+    return _count_variations(np.sign(vals).reshape(-1, L)).reshape(vals.shape[:-1])
 
 
 def _variations_at_infinity(chains: np.ndarray, positive: bool) -> np.ndarray:
@@ -471,8 +477,9 @@ def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> f
     steps = min(int(np.ceil(np.log2(max(hi / max(tol, 1e-300), 4.0)))) + 2, 200)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        outside = (_variations_stack(chains, mid) - v_hi) + (v_lo - _variations_stack(chains, -mid))
-        grow = outside >= 1
+        # One call counts every row at +mid and at -mid.
+        above, below = _variations_stack(chains, [[mid], [-mid]])
+        grow = (above - v_hi) + (v_lo - below) >= 1
         if grow.any():
             lo = mid
             chains, v_hi, v_lo = chains[grow], v_hi[grow], v_lo[grow]

@@ -212,6 +212,104 @@ class TestRhoSrBisect:
         assert abs(r - 1.1) <= 2 * (1 + eps) * 1e-14 ** (1 / 3)
 
 
+def plain_bisection(a, tol):
+    """rho_sr_bisect as bisection on t with one det sweep per step: the
+    estimate and its number of sweeps."""
+    def admissible(t):
+        _mats, dets, thr = an.signature_systems(a, scale=t)
+        return bool((dets > thr).all())
+
+    norm = la.infinity_norm(a)
+    lo = la.pivot_threshold(a)
+    if admissible(lo):
+        return 0.0, 1
+    hi = norm if admissible(norm) else 2.0 * norm
+    sweeps = 2
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        sweeps += 1
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), sweeps
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Whether each det sweep of rho_sr_bisect found every signature admissible."""
+    log = []
+    systems = an.signature_systems
+
+    def recording(*args, **kwargs):
+        out = systems(*args, **kwargs)
+        log.append(bool((out[1] > out[2]).all()))
+        return out
+
+    monkeypatch.setattr(an, "signature_systems", recording)
+    return log
+
+
+class TestCriticalSignatureSearch:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_matrix_matches_its_stack_row(self, seed):
+        g = np.random.default_rng(seed)
+        n = 1 + seed
+        a = random_matrix(seed + 300, n, norm=float(g.uniform(0.1, 4.0)))
+        signs = an.signature_stack(n)
+        picks = g.integers(0, len(signs), size=6)
+        scales = g.uniform(1e-3, 5.0, size=6)
+        _m, dets, thr = an._systems(a, signs[picks], scales)
+        for i, (k, t) in enumerate(zip(picks, scales)):
+            _mats, all_dets, all_thr = an.signature_systems(a, scale=float(t))
+            stack = np.eye(n)[None, :, :] - (a[None, :, :] / float(t)) * signs[:, None, :]
+            assert np.linalg.det(stack).tobytes() == all_dets.tobytes()
+            _one, det, one_thr = an._systems(a, signs[k:k + 1], float(t))
+            for got, want in ((det[0], all_dets[k]), (one_thr[0], all_thr[k]),
+                              (dets[i], all_dets[k]), (thr[i], all_thr[k])):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert (det[0] > one_thr[0]) == (all_dets[k] > all_thr[k])
+
+    def test_criterion_10_matrices_take_no_more_sweeps_than_bisection(self, sweeps):
+        tol = 1e-8
+        for i in range(200):
+            a = random_matrix(90_000 + i, 2 + i % 5)
+            reference, bisection_sweeps = plain_bisection(a, tol)
+            sweeps.clear()
+            estimate = an.rho_sr_bisect(a, tol=tol)
+            assert len(sweeps) <= bisection_sweeps
+            assert abs(estimate - reference) <= tol
+
+    @pytest.mark.parametrize("cls, nu", [
+        ("norm_lt_half", None), ("irreducible_half", None), ("sdd_two_thirds", None),
+        ("tridiag_abs_sym", None), ("unconstrained", 0.9), ("unconstrained", 1.5),
+        ("unconstrained", 4.0),
+    ])
+    def test_analyze_rho_n12_takes_at_most_12_sweeps(self, sweeps, cls, nu):
+        # The n = 12 instances of the analyze-rho benchmark at seed 21.
+        problem, _z = pr.random_instance(cls, 12, 21, nu=nu)
+        estimate = an.rho_sr_bisect(problem.a, tol=1e-10)
+        assert len(sweeps) <= 12
+        assert abs(estimate - an.rho_sr_enum(problem.a, tol=1e-10)) <= 2e-10
+
+    def test_tol_below_float_resolution_ends(self):
+        # At ||A||_inf = 3e9 a bracket cannot get narrower than about 1e-6,
+        # so tol = 1e-10 is unreachable; the result still scales with A.
+        a = random_matrix(7, 5, norm=3e9)
+        estimate = an.rho_sr_bisect(a, tol=1e-10)
+        assert estimate == pytest.approx(an.rho_sr_bisect(a / 1e9, tol=1e-12) * 1e9, rel=1e-12)
+
+    def test_first_crossing_is_not_critical(self, sweeps):
+        # The highest crossing among the signatures the sweep at ||A||_inf
+        # names is not rho^R here: the sweep at its t+ finds another
+        # signature failing, and the search goes on from there.
+        a = random_matrix(90_003, 5)
+        estimate = an.rho_sr_bisect(a, tol=1e-8)
+        assert sweeps[:3] == [False, True, False]
+        assert sweeps[-1] is True
+        assert abs(estimate - an.rho_sr_enum(a, tol=1e-10)) <= 2e-8
+
+
 class TestDetPositivity:
     def test_norm_below_one(self):
         assert an.det_positive_all_signatures(random_matrix(5, 4, norm=0.9))

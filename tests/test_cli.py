@@ -330,6 +330,139 @@ def test_loader_returns_or_raises_cli_error(tmp_path_factory, field, value):
         pass
 
 
+def reference_load(path):
+    """The loader as ``json.load`` followed by ``np.asarray`` of each field."""
+    with open(path) as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict) or not {"n", "A", "b"} <= data.keys():
+        raise cli.CliError("shape of the file")
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise cli.CliError("n")
+    fields = {}
+    for name in ("A", "b", "known_solution"):
+        if name == "known_solution" and data.get(name) is None:
+            fields[name] = None
+            continue
+        value = np.asarray(data[name], dtype=float)
+        if not np.isfinite(value).all() or value.shape != ((n, n) if name == "A" else (n,)):
+            raise cli.CliError(name)
+        fields[name] = value
+    metadata = data.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise cli.CliError("metadata")
+    return fields["A"], fields["b"], fields["known_solution"], metadata
+
+
+def assert_loads_as_reference(path):
+    try:
+        expected = reference_load(path)
+    except (cli.CliError, ValueError, TypeError, OverflowError):
+        with pytest.raises(cli.CliError):
+            cli.load_problem(path)
+        return
+    problem, known, metadata = cli.load_problem(path)
+    for got, want in ((problem.a, expected[0]), (problem.b, expected[1]), (known, expected[2])):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert metadata == expected[3]
+
+
+ENTRY = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2 ** 70), 2 ** 70)
+         | st.booleans() | st.sampled_from(["0.5", "-2", " 1e-3 ", "-0.0"]))
+BAD_ENTRY = st.sampled_from([None, float("nan"), float("inf"), -float("inf"), "abc", "", "nan",
+                             "1e400", 10 ** 400, [0.5], [], {}, {"x": 1.0}])
+
+
+@st.composite
+def problem_texts(draw):
+    n = draw(st.integers(1, 3))
+    rows = [draw(st.lists(ENTRY, min_size=n, max_size=n)) for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    flaw = draw(st.sampled_from(["none", "none", "entry", "entry", "entry", "ragged", "extra_row",
+                                 "scalar_row", "nested", "not_a_list", "empty"]))
+    if flaw == "entry":
+        rows[i][j] = draw(BAD_ENTRY)
+    elif flaw == "ragged":
+        rows[i] = rows[i][:j] + rows[i][j + 1:]
+    elif flaw == "extra_row":
+        rows.append(list(rows[i]))
+    elif flaw == "scalar_row":
+        rows[i] = draw(ENTRY | BAD_ENTRY)
+    elif flaw == "nested":
+        rows = [[[x] for x in row] for row in rows]
+    a = {"not_a_list": draw(ENTRY | BAD_ENTRY), "empty": []}.get(flaw, rows)
+    data = {"n": n, "A": a, "b": draw(st.lists(ENTRY | BAD_ENTRY, min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        data["known_solution"] = draw(st.none() | st.lists(ENTRY, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        data["metadata"] = draw(st.none() | st.dictionaries(st.text(max_size=2), ENTRY, max_size=2)
+                                | st.just([1]))
+    keys = draw(st.permutations(list(data)))
+    return json.dumps({k: data[k] for k in keys}, indent=draw(st.sampled_from([None, 0, 2])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=problem_texts())
+def test_loader_matches_json_load(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("load") / "p.json"
+    path.write_text(text)
+    assert_loads_as_reference(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    ' \t{"n":1,"A":[ [ 0.5 ] ,\r\n[0.25]\n]\t,"b":[1]} \n',
+    '{"n": 1, "A": [[0.5]], "b": [1]}',
+    '{"n": 1, "A": [["x"]], "b": [1], "A": [[0.25]]}',
+    '{"n": 1, "A": [[0.25]], "b": [1], "A": [["x"]]}',
+    '{"n": 1, "A": [[0.25]], "b": [1], "A": 0.5}',
+    '{"n": 1, "A": 0.5, "b": [1], "A": [[0.25]]}',
+    '{"n": 1, "\\u0041": [[0.5]], "b": [1]}',
+    '{"n": 2, "A": [[0.5, true], ["0.25", 0]], "b": [1, 2], "known_solution": null}',
+    '{"n": 2, "A": [[0.5, true], [null, 0]], "b": [1, 2]}',
+    '{"n": 1, "A": [[NaN]], "b": [1]}',
+    '{"n": 1, "A": [[1e400]], "b": [1]}',
+    '{"n": 1, "A": [[[0.5]]], "b": [1]}',
+    '{"n": 1, "A": [], "b": [1]}',
+    '{"n": 1, "A": [[0.5]], "b": [1], "metadata": []}',
+    '{"n": 1, "A": [[0.5],], "b": [1]}',
+    '{"n": 1, "A": [[0.5]] "b": [1]}',
+    '{"n": 1, "A": [[0.5]], "b": [1],}',
+    '{"n": 1, "A": [[0.5]], "b": [1]} x',
+    '{"n": 1, "A": [[0.5]], "b": [1]',
+    '{"n": 1, "A": [[0.5]',
+    '{"n": 1, "A" [[0.5]], "b": [1]}',
+    '{n: 1, "A": [[0.5]], "b": [1]}',
+    '{"n": 1, "A": [[0.5] [0.5]], "b": [1]}',
+    '{"n": 1, "A": [,], "b": [1]}',
+    '\ufeff{"n": 1, "A": [[0.5]], "b": [1]}',
+    '[{"n": 1, "A": [[0.5]], "b": [1]}]',
+    '',
+])
+def test_loader_matches_json_load_on_edge_texts(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    assert_loads_as_reference(str(path))
+
+
+@pytest.mark.parametrize("content", [
+    b'{"n": 1, "A": [[0.5]], "b": [1], "metadata": {"x": "\xff"}}',
+    b'{"n": 1, "A": ' + b"[" * 100_000 + b"]" * 100_000 + b', "b": [1]}',
+    b'{"n": 1, "A": [[1' + b"0" * 5000 + b']], "b": [1]}',
+])
+def test_loader_names_the_path_where_json_load_raised(tmp_path, content):
+    # Undecodable bytes, nesting past the recursion limit and an integer
+    # past Python's digit limit made json.load raise something other than
+    # a JSONDecodeError.
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    with pytest.raises(cli.CliError, match=str(path)):
+        cli.load_problem(str(path))
+
+
 SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, float("nan"),
                                   float("inf"), float("-inf"), 1e300])
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | SPECIAL_FLOATS
