@@ -11,7 +11,6 @@ from .analysis import (
     neq_set,
     rho_sr_bisect,
     rho_sr_enum,
-    rho_sr_sample_lower,
     signature_of,
 )
 from .errors import (
@@ -25,13 +24,10 @@ from .errors import (
 )
 from .linalg import (
     LuFactorization,
-    char_poly,
-    determinant,
     infinity_norm,
     lu_factor,
     lu_solve,
     one_norm,
-    real_roots,
     rho0,
 )
 from .newton import NewtonTrace, newton_solve
@@ -70,10 +66,8 @@ __all__ = [
     "SingularTransform",
     "SolveReport",
     "Status",
-    "char_poly",
     "condition_profile",
     "det_positive_all_signatures",
-    "determinant",
     "enumerate_solutions",
     "from_equilibrium",
     "from_solution",
@@ -91,12 +85,10 @@ __all__ = [
     "newton_solve",
     "one_norm",
     "random_instance",
-    "real_roots",
     "residual",
     "rho0",
     "rho_sr_bisect",
     "rho_sr_enum",
-    "rho_sr_sample_lower",
     "sge_solve",
     "sge_trap_instance",
     "signature_of",

@@ -285,21 +285,3 @@ def inverse_is_sdd_positive_diag(a) -> bool:
     inv = lu_solve(f, np.eye(n))
     return is_strictly_diag_dominant(inv) and bool((np.diag(inv) > 0.0).all())
 
-
-def rho_sr_sample_lower(a, samples: int = 10_000, seed: int = 0) -> float:
-    """Randomized lower bound on the sign-real spectral radius.
-
-    Evaluates max over random x of min_{x_i != 0} |(Ax)_i / x_i|.  Only a
-    sanity check on the enumeration, never the primary estimator.
-    """
-    from ._rng import XorShift64Star
-
-    a = as_square_matrix(a)
-    n = a.shape[0]
-    rng = XorShift64Star(seed)
-    x = rng.uniform_array((samples, n), -1.0, 1.0)
-    ax = x @ a.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.abs(ax) / np.abs(x)
-    ratios[x == 0.0] = np.inf
-    return float(ratios.min(axis=1).max())

@@ -419,7 +419,7 @@ def _compare_one(name: str, problem: AveProblem, newton_start) -> dict:
     rep = sge.sge_solve(problem)
     row["sge_status"] = rep.status.value
     row["sge_ok"] = matches(rep.z)
-    rep = newton_solve(problem, start=newton_start, max_iter=max(problem.n + 1, 2 ** problem.n + 1))
+    rep = newton_solve(problem, start=newton_start, max_iter=2 ** problem.n + 1)
     row["newton_status"] = rep.status.value
     row["newton_ok"] = rep.status == Status.CONVERGED and matches(rep.z)
     return row

@@ -1,7 +1,7 @@
 """Dense linear algebra kernels.
 
-Norms, LU factorization with partial pivoting, determinants,
-characteristic polynomials (Faddeev-LeVerrier) and real roots by Sturm
+Norms, LU factorization with partial pivoting, characteristic
+polynomials (Faddeev-LeVerrier) and the largest |real root| by Sturm
 sequences.  ``catch_up_column``, ``elimination_step`` and
 ``back_substitute`` are the one Gaussian elimination, a left-looking
 (Crout) LU in panels of ``_PANEL`` columns: ``lu_factor`` pivots it by
@@ -10,10 +10,9 @@ Both eliminate columns 0, 1, ..., n-1 in that order and the panel is
 flushed exactly when it fills, so the open panel of column k always
 starts at ``k - k % _PANEL``; the kernel derives it and callers keep no
 panel state.
-Each Sturm search is one bisection on sign-variation counts:
-``real_roots`` isolates and refines every root of one polynomial in the
-same loop, ``max_abs_real_roots`` brackets only the largest |root| over
-a stack.  Everything operates on plain float64 numpy arrays: matrices
+``max_abs_real_roots`` is one bisection on sign-variation counts that
+brackets only the largest |root| over a stack of polynomials.
+Everything operates on plain float64 numpy arrays: matrices
 are row-major ``(n, n)``, vectors ``(n,)``, all entries finite.
 
 The eigenvalue machinery is deliberately polynomial-based instead of QR
@@ -182,18 +181,6 @@ def lu_solve(f: LuFactorization, b) -> np.ndarray:
     return back_substitute(lu, x)
 
 
-def determinant(a) -> float:
-    """Determinant as the signed product of LU pivots.
-
-    Returns exactly 0.0 when the factorization signals singularity.
-    """
-    try:
-        f = lu_factor(a)
-    except SingularMatrix:
-        return 0.0
-    return float(f.sign * np.prod(np.diag(f.lu)))
-
-
 def char_polys_stack(mats: np.ndarray) -> np.ndarray:
     """Characteristic polynomials det(lambda I - A) for a stack of matrices.
 
@@ -219,22 +206,8 @@ def char_polys_stack(mats: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def char_poly(a) -> np.ndarray:
-    """Characteristic polynomial det(lambda I - A), degree-ascending."""
-    a = as_square_matrix(a)
-    return char_polys_stack(a[None, :, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # Polynomial helpers (degree-ascending coefficient arrays).
-
-
-def poly_eval(coeffs: np.ndarray, x):
-    """Horner evaluation of a degree-ascending coefficient array."""
-    result = np.zeros_like(np.asarray(x, dtype=float))
-    for c in coeffs[::-1]:
-        result = result * x + c
-    return result
 
 
 def _poly_trim(coeffs: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -284,61 +257,6 @@ def _sturm_chain(p: np.ndarray) -> list[np.ndarray]:
             break
         chain.append(-r / np.abs(r).max())
     return chain
-
-
-def _variations_scalar(chain: list[np.ndarray], x: float) -> int:
-    signs = []
-    for member in chain:
-        v = float(poly_eval(member, x))
-        if v != 0.0:
-            signs.append(v > 0.0)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def real_roots(p, lo: float, hi: float, tol: float = 1e-10) -> np.ndarray:
-    """All distinct real roots of p in [lo, hi], located to width ``tol``.
-
-    One bisection on Sturm-sequence counts: an interval is split while it
-    holds a root and is wider than ``tol``, and each surviving interval
-    reports its midpoint, so every root lies within ``tol/2`` of a
-    reported one.  Multiple roots, and roots closer than ``tol``, are
-    reported once.
-    """
-    p = np.asarray(p, dtype=float)
-    if not np.any(p != 0.0):
-        raise ValueError("zero polynomial")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    p = _poly_trim(p)
-    if p.size == 1:
-        return np.empty(0)
-    chain = _sturm_chain(p)
-
-    # Sturm counts roots in half-open (a, b]; pad the left endpoint so a
-    # root exactly at lo is captured (it is clipped back afterwards).
-    pad = max(tol, 1e-12 * (1.0 + abs(lo)))
-    a0 = lo - pad
-    work = [(a0, float(hi), _variations_scalar(chain, a0), _variations_scalar(chain, hi))]
-    roots = []
-    while work:
-        x0, x1, v0, v1 = work.pop()
-        if v0 <= v1:
-            continue
-        xm = 0.5 * (x0 + x1)
-        if x1 - x0 <= tol:
-            roots.append(xm)
-            continue
-        vm = _variations_scalar(chain, xm)
-        work.append((x0, xm, v0, vm))
-        work.append((xm, x1, vm, v1))
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        r = min(max(r, lo), hi)
-        if not merged or r - merged[-1] > tol:
-            merged.append(r)
-    return np.asarray(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +416,5 @@ def rho0(a, tol: float = 1e-12) -> float:
     the characteristic-polynomial route.
     """
     a = as_square_matrix(a)
-    if a.shape[0] > MAX_CHARPOLY_DIM:
-        raise DimensionTooLarge(f"rho0 capped at n <= {MAX_CHARPOLY_DIM}")
     polys = char_polys_stack(a[None, :, :])
     return max_abs_real_roots(polys, infinity_norm(a), tol)

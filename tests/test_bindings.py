@@ -1,5 +1,6 @@
-"""The traced benchmark run wraps avekit functions by name; a rename must
-fail here, not only in that run."""
+"""The traced benchmark run wraps avekit functions by name, and
+``from avekit import *`` reads ``__all__``; a rename or removal must fail
+here, not only in those."""
 
 import importlib
 import importlib.util
@@ -19,3 +20,9 @@ def test_traced_functions_resolve(monkeypatch):
     for module, name in spans.TRACED:
         assert module.startswith("avekit.")
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_public_names_resolve():
+    avekit = importlib.import_module("avekit")
+    missing = [name for name in avekit.__all__ if not hasattr(avekit, name)]
+    assert not missing

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from avekit import linalg as la
 from avekit.errors import DimensionTooLarge, SingularMatrix
@@ -53,7 +54,7 @@ class TestLu:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         f = la.lu_factor(a)
         assert f.sign == -1
-        assert la.determinant(a) == -1.0
+        assert lu_det(a) == -1.0
 
     def test_rank_deficient_raises(self):
         with pytest.raises(SingularMatrix):
@@ -119,49 +120,66 @@ class TestLu:
         assert np.abs(a @ inv - np.eye(4)).max() < 1e-12
 
 
+def lu_det(a):
+    """The determinant lu_factor yields: the parity times the product of
+    the pivots, 0.0 where it raises SingularMatrix."""
+    try:
+        f = la.lu_factor(a)
+    except SingularMatrix:
+        return 0.0
+    return float(f.sign * np.prod(np.diag(f.lu)))
+
+
 class TestDeterminant:
     def test_identity(self):
-        assert la.determinant(np.eye(3)) == 1.0
+        assert lu_det(np.eye(3)) == 1.0
 
     def test_swap(self):
-        assert la.determinant(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1.0
+        assert lu_det(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1.0
 
     def test_signed_shift(self):
         a = np.eye(2) - 0.25 * np.eye(2) @ np.diag([1.0, -1.0])
-        assert la.determinant(a) == pytest.approx(0.9375, abs=1e-15)
+        assert lu_det(a) == pytest.approx(0.9375, abs=1e-15)
 
     def test_singular_returns_zero(self):
-        assert la.determinant(np.ones((3, 3))) == 0.0
+        assert lu_det(np.ones((3, 3))) == 0.0
 
     @pytest.mark.parametrize("seed", range(200))
     def test_multiplicative(self, seed):
         a = random_matrix(2 * seed, 5)
         b = random_matrix(2 * seed + 1, 5)
-        lhs = la.determinant(a @ b)
-        rhs = la.determinant(a) * la.determinant(b)
+        lhs = lu_det(a @ b)
+        rhs = lu_det(a) * lu_det(b)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+        assert lu_det(a) == pytest.approx(np.linalg.det(a), rel=1e-12, abs=1e-15)
+
+
+def char_poly(a):
+    """The characteristic polynomial of one matrix: the row of its
+    one-matrix stack."""
+    return la.char_polys_stack(np.asarray(a, dtype=float)[None])[0]
 
 
 class TestCharPoly:
     def test_identity(self):
-        assert la.char_poly(np.eye(2)) == pytest.approx([1.0, -2.0, 1.0])
+        assert char_poly(np.eye(2)) == pytest.approx([1.0, -2.0, 1.0])
 
     def test_swap(self):
-        assert la.char_poly(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
+        assert char_poly(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
             [-1.0, 0.0, 1.0]
         )
 
     def test_circulant(self):
         a = 0.625
-        assert la.char_poly(CIRCULANT) == pytest.approx([-(a**3), 0.0, 0.0, 1.0])
+        assert char_poly(CIRCULANT) == pytest.approx([-(a**3), 0.0, 0.0, 1.0])
 
     def test_monic(self):
-        p = la.char_poly(random_matrix(3, 6))
+        p = char_poly(random_matrix(3, 6))
         assert p[-1] == 1.0
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
-            la.char_poly(np.eye(17))
+            la.char_polys_stack(np.eye(17)[None])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_determinant_samples(self, seed):
@@ -169,41 +187,45 @@ class TestCharPoly:
         # with the recursion's polynomial.
         n = 2 + seed % 5
         a = random_matrix(seed + 100, n)
-        p = la.char_poly(a)
+        p = char_poly(a)
         for x in np.linspace(-2.0, 2.0, n + 3):
-            direct = la.determinant(x * np.eye(n) - a)
-            assert la.poly_eval(p, x) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+            direct = np.linalg.det(x * np.eye(n) - a)
+            assert polyval(x, p) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+def largest_root(p, bound, tol=1e-10):
+    """max_abs_real_roots of the one-polynomial stack p."""
+    return la.max_abs_real_roots(np.asarray(p, dtype=float)[None], bound, tol)
 
 
 class TestRealRoots:
+    # The largest |real root| that max_abs_real_roots brackets, on single
+    # polynomials with known roots.
     def test_two_roots(self):
-        roots = la.real_roots(np.array([-1.0, 0.0, 1.0]), -2.0, 2.0)
-        assert roots == pytest.approx([-1.0, 1.0], abs=1e-10)
+        assert largest_root([-1.0, 0.0, 1.0], 2.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_no_real_roots(self):
-        assert la.real_roots(np.array([1.0, 0.0, 1.0]), -2.0, 2.0).size == 0
+        assert largest_root([1.0, 0.0, 1.0], 2.0) == 0.0
 
     def test_cube_root(self):
         a = 0.625
-        roots = la.real_roots(np.array([-(a**3), 0.0, 0.0, 1.0]), -1.0, 1.0)
-        assert roots == pytest.approx([a], abs=1e-10)
+        assert largest_root([-(a**3), 0.0, 0.0, 1.0], 1.0) == pytest.approx(a, abs=1e-10)
 
     def test_double_root_reported_once(self):
-        roots = la.real_roots(np.array([1.0, -2.0, 1.0]), -2.0, 2.0)
-        assert roots == pytest.approx([1.0], abs=1e-7)
+        assert largest_root([1.0, -2.0, 1.0], 2.0) == pytest.approx(1.0, abs=1e-7)
 
     def test_root_at_interval_edge(self):
-        roots = la.real_roots(np.array([-1.0, 0.0, 1.0]), -1.0, 1.0)
-        assert roots == pytest.approx([-1.0, 1.0], abs=1e-9)
+        # Roots exactly at +-bound are counted from the exact outer counts.
+        assert largest_root([-1.0, 0.0, 1.0], 1.0) == 1.0
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            la.real_roots(np.zeros(3), -1.0, 1.0)
+            la._sturm_chain(np.zeros(3))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_no_missed_sign_changes(self, seed):
-        # Every sign change on a 1024-point grid must have a reported root
-        # nearby (odd-multiplicity roots cannot be skipped).
+        # The outermost sign change on a 1024-point grid bounds the result
+        # from below (odd-multiplicity roots cannot be skipped).
         g = np.random.default_rng(seed)
         deg = int(g.integers(2, 7))
         true_roots = g.uniform(-1.5, 1.5, size=deg)
@@ -211,19 +233,18 @@ class TestRealRoots:
         for r in true_roots:
             p = np.convolve(p, np.array([-r, 1.0]))
         tol = 1e-9
-        found = la.real_roots(p, -2.0, 2.0, tol=tol)
+        found = largest_root(p, 2.0, tol=tol)
         grid = np.linspace(-2.0, 2.0, 1024)
-        vals = la.poly_eval(p, grid)
+        vals = polyval(grid, p)
         for i in range(len(grid) - 1):
             if vals[i] != 0.0 and vals[i + 1] != 0.0 and (vals[i] > 0) != (vals[i + 1] > 0):
-                lo, hi = grid[i] - tol, grid[i + 1] + tol
-                assert ((found >= lo) & (found <= hi)).any()
-
+                assert found >= min(abs(grid[i]), abs(grid[i + 1])) - tol
+        assert found <= np.abs(true_roots).max() + tol
 
     @pytest.mark.parametrize("seed", range(40))
     def test_simple_roots_within_half_tol(self, seed):
-        # Each reported root is the midpoint of a Sturm interval no wider
-        # than tol, so it sits within tol/2 of the root that interval holds.
+        # The bracket ends narrower than tol, so its midpoint sits within
+        # tol/2 of the largest |root|.
         g = np.random.default_rng(seed)
         deg = int(g.integers(2, 7))
         true_roots = -1.5 + np.cumsum(g.uniform(0.1, 0.5, size=deg))
@@ -231,9 +252,8 @@ class TestRealRoots:
         for r in true_roots:
             p = np.convolve(p, np.array([-r, 1.0]))
         tol = 1e-9
-        found = la.real_roots(p, -2.0, 2.0, tol=tol)
-        assert found.size == deg
-        assert np.abs(found - true_roots).max() <= 0.5 * tol
+        found = largest_root(p, 2.0, tol=tol)
+        assert abs(found - np.abs(true_roots).max()) <= 0.5 * tol
 
 
 def _rotation(a):
@@ -266,6 +286,34 @@ class TestMaxAbsRealRoots:
         # Without the +-I rows the maximum is a simple root.
         simple = np.delete(polys, [1, 2], axis=0)
         assert la.max_abs_real_roots(simple, bound) == max(np.delete(rows, [1, 2]))
+
+    def test_irregular_degree_drops_take_the_scalar_chain(self, monkeypatch):
+        # x^3 - a^3 (the circulant) and x^4 - 1 (the 4-cycle permutation):
+        # the remainder of p by p' is a constant, a degree drop of more
+        # than one, so their stacked chains fall back to _sturm_chain.  The
+        # circulant padded with a zero row and column, x (x^3 - a^3), drops
+        # from degree 3 to 1 and stacks with the permutation.
+        a = 0.625
+        cycle = np.roll(np.eye(4), 1, axis=0)
+        padded = np.pad(CIRCULANT, (0, 1))
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return scalar_chain(p)
+
+        scalar_chain = la._sturm_chain
+        monkeypatch.setattr(la, "_sturm_chain", counting)
+        cube = la.max_abs_real_roots(la.char_polys_stack(CIRCULANT[None]), 1.0)
+        assert len(calls) == 1
+        polys = la.char_polys_stack(np.array([padded, cycle]))
+        assert polys[1] == pytest.approx([-1.0, 0.0, 0.0, 0.0, 1.0])
+        rows = [la.max_abs_real_roots(polys[i:i + 1], 1.0) for i in range(2)]
+        assert len(calls) == 3
+        assert la.max_abs_real_roots(polys, 1.0) == max(rows)
+        assert len(calls) == 5
+        assert abs(cube - a) <= 1e-10 and abs(rows[0] - a) <= 1e-10
+        assert abs(rows[1] - 1.0) <= 1e-10
 
     def test_zero_bound_and_all_complex(self):
         polys = la.char_polys_stack(np.array([_rotation(0.5), _rotation(2.0)]))
@@ -320,11 +368,11 @@ class TestRho0:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_real_roots_route(self, seed):
-        # Dual route: isolate every root of the characteristic polynomial
-        # with the scalar Sturm machinery and compare maxima.
+        # Dual route: the real eigenvalues LAPACK's QR iteration returns,
+        # with no characteristic polynomial or Sturm count involved.
         n = 2 + seed % 5
         a = random_matrix(seed + 500, n)
-        bound = la.infinity_norm(a)
-        roots = la.real_roots(la.char_poly(a), -bound - 1e-9, bound + 1e-9, tol=1e-12)
-        expected = float(np.abs(roots).max()) if roots.size else 0.0
+        eig = np.linalg.eigvals(a)
+        real = eig.real[eig.imag == 0.0]
+        expected = float(np.abs(real).max()) if real.size else 0.0
         assert la.rho0(a) == pytest.approx(expected, abs=1e-9)
