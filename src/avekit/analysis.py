@@ -175,17 +175,33 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
 
 def _systems(a: np.ndarray, signs: np.ndarray, scale):
     """The stack I - (A/scale)S over the rows S of ``signs``, its
-    determinants and each matrix's ``pivot_threshold``.  ``scale`` is one
-    float or one per row; each matrix gets exactly the arithmetic of its
-    row in the stack of all signatures."""
-    mats = np.eye(a.shape[0]) - (a / np.asarray(scale)[..., None, None]) * signs[:, None, :]
-    return mats, np.linalg.det(mats), pivot_threshold(mats)
+    determinants and each matrix's singularity threshold.  ``scale`` is
+    one float or one per row; each matrix gets exactly the arithmetic of
+    its row in the stack of all signatures.
+
+    Row i of I - (A/t)S has absolute sum |1 - a_ii s_i / t| + off_i / t,
+    where off_i = sum_{j != i} |a_ij|, so the threshold
+    ``1e-14 * (1 + max_i (|1 - a_ii s_i / t| + off_i / t))`` is read off
+    the diagonals and one vector of off-diagonal sums.  It equals
+    ``pivot_threshold`` of the matrix up to rounding."""
+    m, n = len(signs), a.shape[0]
+    scale = np.asarray(scale)
+    mats = (a / scale[..., None, None]) * signs[:, None, :]
+    # 0 - x rather than -x keeps zero entries +0, as in I - x.
+    np.subtract(0.0, mats, out=mats)
+    diag = mats.reshape(m, n * n)[:, ::n + 1]
+    diag += 1.0
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    rows = np.abs(diag) + off.sum(axis=1) / scale[..., None]
+    return mats, np.linalg.det(mats), 1e-14 * (1.0 + rows.max(axis=1))
 
 
 def signature_systems(a: np.ndarray, scale: float = 1.0):
     """The stack I - (A/scale)S over all signatures S (in
     ``signature_stack(n)`` order), its determinants, and each matrix's
-    ``pivot_threshold``."""
+    singularity threshold, the closed form of ``_systems`` that equals
+    ``pivot_threshold`` of the matrix up to rounding."""
     return _systems(a, signature_stack(a.shape[0]), scale)
 
 
@@ -227,7 +243,10 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
 
     Uses the equivalence rho^R(A/t) < 1 iff det(I - (A/t)S) > 0 for all
     signatures S, and brackets the infimum of admissible t between an
-    inadmissible ``lo`` and an admissible ``hi``.  The upper bracket is
+    inadmissible ``lo`` and an admissible ``hi``.  The lower bracket is
+    ``pivot_threshold(A)``; the check there stops at the first
+    ``_SEARCHED`` signatures when one of them fails, and sweeps all 2^n
+    (returning 0 if they all pass) only otherwise.  The upper bracket is
     ||A||_inf, or 2||A||_inf if the threshold band rejects it (at
     rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
 
@@ -250,14 +269,17 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     if norm == 0.0:
         return 0.0
     lo = pivot_threshold(a)
-    if _sweep(a, lo)[0]:
+    signs = signature_stack(n)
+    # rho^R = 0 needs every signature to pass at lo; one failure among the
+    # first few settles that without the full sweep.
+    _mats, dets, thr = _systems(a, signs[:_SEARCHED], lo)
+    if (dets > thr).all() and _sweep(a, lo)[0]:
         return 0.0
     ok, weakest = _sweep(a, norm)
     lo, hi = (lo, norm) if ok else (norm, 2.0 * norm)
     # No bracket gets narrower than a few ulps of hi, so a tol below that
     # would never be met.
     tol = max(tol, 4.0 * float(np.spacing(hi)))
-    signs = signature_stack(n)
     misses = 0
     while hi - lo > tol:
         width = hi - lo

@@ -197,11 +197,13 @@ def char_polys_stack(mats: np.ndarray) -> np.ndarray:
         raise DimensionTooLarge(f"characteristic polynomial capped at n <= {MAX_CHARPOLY_DIM}")
     coeffs = np.zeros((m, n + 1))
     coeffs[:, n] = 1.0
-    eye = np.eye(n)
     mk = mats.copy()
     coeffs[:, n - 1] = -np.einsum("kii->k", mk)
     for j in range(2, n + 1):
-        mk = mats @ (mk + coeffs[:, n - j + 1, None, None] * eye)
+        # mk + c I, in place: mk is a fresh C-contiguous product, so the
+        # strided view is its diagonal.
+        mk.reshape(m, n * n)[:, ::n + 1] += coeffs[:, n - j + 1, None]
+        mk = mats @ mk
         coeffs[:, n - j] = -np.einsum("kii->k", mk) / j
     return coeffs
 
@@ -340,16 +342,23 @@ def _count_variations(s: np.ndarray) -> np.ndarray:
     return flips.sum(axis=1)
 
 
-def _variations_stack(chains: np.ndarray, x) -> np.ndarray:
-    """Sign variations of each row's chain at the points x, which
-    broadcast against the m rows: one point or one per row gives ``(m,)``
-    counts, k points of shape ``(k, 1)`` give ``(k, m)`` counts without
-    copying the chains."""
-    m, L, w = chains.shape
+def _variations_stack(coef: np.ndarray, x) -> np.ndarray:
+    """Sign variations of each row's chain at the points x.
+
+    ``coef`` is the chain stack in coefficient-major layout ``(w, m, L)``,
+    C-contiguous: ``coef[j, i, k]`` is the coefficient of x^(w-1-j) in
+    member k of row i's chain (``_sturm_chains_stack(polys)`` transposed
+    by ``(2, 0, 1)``), so each Horner step reads one contiguous ``(m, L)``
+    slab.  x broadcasts against the m rows: one point or one per row
+    gives ``(m,)`` counts, k points of shape ``(k, 1)`` give ``(k, m)``
+    counts."""
+    w, m, L = coef.shape
     xcol = np.asarray(x, dtype=float)[..., None]
-    vals = np.broadcast_to(chains[:, :, 0], np.broadcast_shapes(xcol.shape, (m, L)))
+    vals = np.empty(np.broadcast_shapes(xcol.shape, (m, L)))
+    vals[...] = coef[0]
     for j in range(1, w):
-        vals = vals * xcol + chains[:, :, j]
+        vals *= xcol
+        vals += coef[j]
     return _count_variations(np.sign(vals).reshape(-1, L)).reshape(vals.shape[:-1])
 
 
@@ -390,17 +399,25 @@ def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> f
     live = v_lo > v_hi
     if not live.any():
         return 0.0
-    chains, v_hi, v_lo = chains[live], v_hi[live], v_lo[live]
+    # The live rows, coefficient-major; the row-major stack goes before
+    # the loop so that only one copy of the chains stays alive.  (compress
+    # would first copy a transposed view whole.)
+    chains = chains[live]
+    coef = np.ascontiguousarray(chains.transpose(2, 0, 1))
+    del chains
+    v_hi, v_lo = v_hi[live], v_lo[live]
     lo, hi = 0.0, bound * (1.0 + 1e-9)
     steps = min(int(np.ceil(np.log2(max(hi / max(tol, 1e-300), 4.0)))) + 2, 200)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         # One call counts every row at +mid and at -mid.
-        above, below = _variations_stack(chains, [[mid], [-mid]])
+        above, below = _variations_stack(coef, [[mid], [-mid]])
         grow = (above - v_hi) + (v_lo - below) >= 1
         if grow.any():
             lo = mid
-            chains, v_hi, v_lo = chains[grow], v_hi[grow], v_lo[grow]
+            # compress keeps the stack C-contiguous; a boolean index on
+            # axis 1 would not.
+            coef, v_hi, v_lo = np.compress(grow, coef, axis=1), v_hi[grow], v_lo[grow]
         else:
             hi = mid
     return min(0.5 * (lo + hi), bound)

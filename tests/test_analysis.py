@@ -187,6 +187,20 @@ class TestRhoSrBisect:
         a = np.array([[0.0, 0.7], [0.0, 0.0]])
         assert an.rho_sr_bisect(a) == 0.0
 
+    def test_check_at_lo_falls_through_to_the_full_sweep(self, sweeps):
+        # Strictly upper triangular at n = 8: all of the first _SEARCHED
+        # signatures pass at lo, so the sweep over all 256 must decide.
+        assert len(an.signature_stack(8)) > an._SEARCHED
+        assert an.rho_sr_bisect(np.triu(random_matrix(8, 8), 1)) == 0.0
+        assert sweeps == [True]
+        # Here only signatures with s_7 = -1, none of the first
+        # _SEARCHED, fail at lo: rho^R is 0.5, not 0.
+        a = np.diag([0.0] * 7 + [-0.5])
+        first = an.signature_stack(8)[:an._SEARCHED]
+        _mats, dets, thr = an._systems(a, first, la.pivot_threshold(a))
+        assert (dets > thr).all()
+        assert an.rho_sr_bisect(a, tol=1e-10) == pytest.approx(0.5, abs=1e-9)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumeration(self, seed):
         n = 2 + seed % 4
@@ -250,6 +264,26 @@ def sweeps(monkeypatch):
     return log
 
 
+class TestSignatureSystems:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_threshold_and_exact_matrices(self, n):
+        # The closed-form thresholds match pivot_threshold of the returned
+        # matrices, which are bitwise I - (A/t)S, zero entries included.
+        g = np.random.default_rng(400 + n)
+        for k in range(4):
+            a = random_matrix(410 + 20 * n + k, n, norm=float(g.uniform(0.1, 4.0)))
+            a[g.random((n, n)) < 0.3] = 0.0
+            signs = g.choice([-1.0, 1.0], size=(40, n))
+            scales = g.uniform(1e-3, 5.0, size=40)
+            for scale, t in ((float(scales[0]), scales[0]), (scales, scales[:, None, None])):
+                mats, dets, thr = an._systems(a, signs, scale)
+                want = np.eye(n) - (a / t) * signs[:, None, :]
+                assert mats.tobytes() == want.tobytes()
+                assert np.linalg.det(want).tobytes() == dets.tobytes()
+                ref = la.pivot_threshold(mats)
+                assert (np.abs(thr - ref) <= 1e-15 * ref).all()
+
+
 class TestCriticalSignatureSearch:
     @pytest.mark.parametrize("seed", range(10))
     def test_one_matrix_matches_its_stack_row(self, seed):
@@ -305,7 +339,7 @@ class TestCriticalSignatureSearch:
         # signature failing, and the search goes on from there.
         a = random_matrix(90_003, 5)
         estimate = an.rho_sr_bisect(a, tol=1e-8)
-        assert sweeps[:3] == [False, True, False]
+        assert sweeps[:2] == [True, False]
         assert sweeps[-1] is True
         assert abs(estimate - an.rho_sr_enum(a, tol=1e-10)) <= 2e-8
 

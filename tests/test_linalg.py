@@ -260,6 +260,44 @@ def _rotation(a):
     return np.array([[0.0, -a], [a, 0.0]])
 
 
+def polyval_variations(chain, x):
+    """Sign variations of one row's chain (members degree-descending) at x,
+    each member evaluated by np.polyval, zeros skipped."""
+    signs = [v for v in np.sign([np.polyval(member, x) for member in chain]) if v != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+class TestVariationsStack:
+    def test_matches_per_member_polyval(self):
+        # Chains of random stacks; that of (x-1)^2 (x+2) = x^3 - 3x + 2,
+        # which ends at the gcd x - 1 and keeps a zero member, and whose
+        # derivative member is exactly 0 at x = 1; and that of
+        # x (x-1) (x+2), which is exactly 0 at x = 0.
+        cases = []
+        for seed in range(6):
+            n = 3 + seed % 4
+            mats = np.array([random_matrix(1000 * seed + k, n) for k in range(7)])
+            cases.append(la._sturm_chains_stack(la.char_polys_stack(mats)))
+        special = la._sturm_chains_stack(np.array([[2.0, -3.0, 0.0, 1.0], [0.0, -2.0, 1.0, 1.0]]))
+        assert (special[0, 3] == 0.0).all()
+        assert np.polyval(special[0, 1], 1.0) == 0.0 and np.polyval(special[1, 0], 0.0) == 0.0
+        cases.append(special)
+        g = np.random.default_rng(5)
+        for chains in cases:
+            m = chains.shape[0]
+            coef = np.ascontiguousarray(chains.transpose(2, 0, 1))
+            points = [1.0, -2.0, 0.0] + list(g.uniform(-2.0, 2.0, size=4))
+            for x in points:
+                want = [polyval_variations(chains[i], x) for i in range(m)]
+                assert la._variations_stack(coef, x).tolist() == want
+            rows = g.uniform(-2.0, 2.0, size=m)
+            want = [polyval_variations(chains[i], rows[i]) for i in range(m)]
+            assert la._variations_stack(coef, rows).tolist() == want
+            column = np.array(points)[:, None]
+            want = [[polyval_variations(chains[i], x) for i in range(m)] for x in points]
+            assert la._variations_stack(coef, column).tolist() == want
+
+
 class TestMaxAbsRealRoots:
     @pytest.mark.parametrize("seed", range(10))
     def test_stack_is_max_of_rows(self, seed):
