@@ -23,6 +23,7 @@ from .linalg import (
     lu_solve,
     max_abs_real_roots,
     pivot_threshold,
+    threshold_of_norms,
 )
 
 # 2^n signature enumerations are kept below a second of work.
@@ -173,7 +174,15 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     return max_abs_real_roots(polys, infinity_norm(a), tol)
 
 
-def _systems(a: np.ndarray, signs: np.ndarray, scale):
+def _off_diagonal_sums(a: np.ndarray) -> np.ndarray:
+    """off_i = sum_{j != i} |a_ij|, summed in row-major order whatever
+    the layout of ``a``."""
+    off = np.abs(a, order="C")
+    off.reshape(-1)[::len(off) + 1] = 0.0
+    return off.sum(axis=1)
+
+
+def _systems(a: np.ndarray, signs: np.ndarray, scale, off=None):
     """The stack I - (A/scale)S over the rows S of ``signs``, its
     determinants and each matrix's singularity threshold.  ``scale`` is
     one float or one per row; each matrix gets exactly the arithmetic of
@@ -182,27 +191,32 @@ def _systems(a: np.ndarray, signs: np.ndarray, scale):
     Row i of I - (A/t)S has absolute sum |1 - a_ii s_i / t| + off_i / t,
     where off_i = sum_{j != i} |a_ij|, so the threshold
     ``1e-14 * (1 + max_i (|1 - a_ii s_i / t| + off_i / t))`` is read off
-    the diagonals and one vector of off-diagonal sums.  It equals
-    ``pivot_threshold`` of the matrix up to rounding."""
+    the diagonals and ``off``, ``_off_diagonal_sums(a)`` (computed here
+    unless a caller that builds many stacks of one matrix passes it).  It
+    equals ``pivot_threshold`` of the matrix up to rounding."""
     m, n = len(signs), a.shape[0]
     scale = np.asarray(scale)
-    mats = (a / scale[..., None, None]) * signs[:, None, :]
+    if off is None:
+        off = _off_diagonal_sums(a)
+    # Row-major whatever the layout of a, so that the reshape below is a
+    # view and the diagonal is added in place.
+    mats = np.multiply(a / scale[..., None, None], signs[:, None, :], order="C")
     # 0 - x rather than -x keeps zero entries +0, as in I - x.
     np.subtract(0.0, mats, out=mats)
     diag = mats.reshape(m, n * n)[:, ::n + 1]
     diag += 1.0
-    off = np.abs(a)
-    np.fill_diagonal(off, 0.0)
-    rows = np.abs(diag) + off.sum(axis=1) / scale[..., None]
-    return mats, np.linalg.det(mats), 1e-14 * (1.0 + rows.max(axis=1))
+    rows = np.abs(diag)
+    rows += off / scale[..., None]
+    return mats, np.linalg.det(mats), threshold_of_norms(rows.max(axis=1))
 
 
-def signature_systems(a: np.ndarray, scale: float = 1.0):
+def signature_systems(a: np.ndarray, scale: float = 1.0, off=None):
     """The stack I - (A/scale)S over all signatures S (in
     ``signature_stack(n)`` order), its determinants, and each matrix's
     singularity threshold, the closed form of ``_systems`` that equals
-    ``pivot_threshold`` of the matrix up to rounding."""
-    return _systems(a, signature_stack(a.shape[0]), scale)
+    ``pivot_threshold`` of the matrix up to rounding.  ``off`` is as in
+    ``_systems``."""
+    return _systems(a, signature_stack(a.shape[0]), scale, off)
 
 
 def det_positive_all_signatures(a) -> bool:
@@ -213,24 +227,26 @@ def det_positive_all_signatures(a) -> bool:
     return bool((dets > thr).all())
 
 
-def _sweep(a: np.ndarray, t: float) -> tuple[bool, np.ndarray]:
+def _sweep(a: np.ndarray, off: np.ndarray, t: float) -> tuple[bool, np.ndarray]:
     """One det sweep at scale t: whether every signature clears its
     threshold, and the indices of the ``_SEARCHED`` signatures with the
-    smallest margins det - threshold."""
-    _mats, dets, thr = signature_systems(a, scale=t)
+    smallest margins det - threshold.  ``off`` is ``_off_diagonal_sums(a)``."""
+    _mats, dets, thr = signature_systems(a, t, off)
     return bool((dets > thr).all()), np.argsort(dets - thr, kind="stable")[:_SEARCHED]
 
 
-def _crossing(a: np.ndarray, signs: np.ndarray, lo: float, hi: float, tol: float):
+def _crossing(a: np.ndarray, off: np.ndarray, signs: np.ndarray, lo: float, hi: float,
+              tol: float):
     """Bisect the determinant of each row S, det(I - (A/t)S) against its
     threshold, on [lo, hi] to a bracket of width <= tol whose left end is
     lo or a scale where S fails and whose right end is hi or a scale
-    where S passes.  Returns the bracket with the largest left end."""
+    where S passes.  ``off`` is ``_off_diagonal_sums(a)``.  Returns the
+    bracket with the largest left end."""
     t_minus = np.full(len(signs), lo)
     t_plus = np.full(len(signs), hi)
     while (t_plus - t_minus).max() > tol:
         mid = 0.5 * (t_minus + t_plus)
-        _mats, dets, thr = _systems(a, signs, mid)
+        _mats, dets, thr = _systems(a, signs, mid, off)
         passes = dets > thr
         t_plus = np.where(passes, mid, t_plus)
         t_minus = np.where(passes, t_minus, mid)
@@ -245,10 +261,11 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     signatures S, and brackets the infimum of admissible t between an
     inadmissible ``lo`` and an admissible ``hi``.  The lower bracket is
     ``pivot_threshold(A)``; the check there stops at the first
-    ``_SEARCHED`` signatures when one of them fails, and sweeps all 2^n
-    (returning 0 if they all pass) only otherwise.  The upper bracket is
-    ||A||_inf, or 2||A||_inf if the threshold band rejects it (at
-    rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
+    ``_SEARCHED`` signatures (all of them at n <= 4) when one of them
+    fails, and sweeps all 2^n (returning 0 if they all pass) only
+    otherwise.  The upper bracket is ||A||_inf, or 2||A||_inf if the
+    threshold band rejects it (at rho^R = ||A||_inf): there
+    rho((A/t)S) <= 1/2 gives det >= 2^-n.
 
     Each det sweep over all 2^n signatures also names the ``_SEARCHED``
     signatures with the smallest margins det - threshold.  Their own
@@ -270,12 +287,14 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
         return 0.0
     lo = pivot_threshold(a)
     signs = signature_stack(n)
+    off = _off_diagonal_sums(a)
     # rho^R = 0 needs every signature to pass at lo; one failure among the
-    # first few settles that without the full sweep.
-    _mats, dets, thr = _systems(a, signs[:_SEARCHED], lo)
-    if (dets > thr).all() and _sweep(a, lo)[0]:
+    # first few settles that without the full sweep, and at n <= 4 the
+    # first few are all of them.
+    _mats, dets, thr = _systems(a, signs[:_SEARCHED], lo, off)
+    if (dets > thr).all() and (len(signs) <= _SEARCHED or _sweep(a, off, lo)[0]):
         return 0.0
-    ok, weakest = _sweep(a, norm)
+    ok, weakest = _sweep(a, off, norm)
     lo, hi = (lo, norm) if ok else (norm, 2.0 * norm)
     # No bracket gets narrower than a few ulps of hi, so a tol below that
     # would never be met.
@@ -283,12 +302,12 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     misses = 0
     while hi - lo > tol:
         width = hi - lo
-        lo, t = _crossing(a, signs[weakest], lo, hi, tol)
+        lo, t = _crossing(a, off, signs[weakest], lo, hi, tol)
         if hi - lo <= tol:
             break
         if misses == 2:
             t = 0.5 * (lo + hi)
-        ok, weakest = _sweep(a, t)
+        ok, weakest = _sweep(a, off, t)
         if ok:
             hi = t
         else:

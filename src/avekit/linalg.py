@@ -76,7 +76,12 @@ def pivot_threshold(a):
     pivot counts as zero; a float for one matrix, an array for a stack."""
     a = np.asarray(a, dtype=float)
     norms = np.abs(a).sum(axis=-1).max(axis=-1)
-    return 1e-14 * (1.0 + (float(norms) if norms.ndim == 0 else norms))
+    return threshold_of_norms(float(norms) if norms.ndim == 0 else norms)
+
+
+def threshold_of_norms(norms):
+    """``pivot_threshold`` of matrices whose infinity norms are ``norms``."""
+    return 1e-14 * (1.0 + norms)
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,22 @@ class TestRhoSrBisect:
         assert (dets > thr).all()
         assert an.rho_sr_bisect(a, tol=1e-10) == pytest.approx(0.5, abs=1e-9)
 
+    def test_check_at_lo_is_the_whole_sweep_at_small_n(self, sweeps):
+        # At n <= 4 the first _SEARCHED signatures are all 2^n of them.
+        assert len(an.signature_stack(4)) <= an._SEARCHED
+        assert an.rho_sr_bisect(np.triu(random_matrix(4, 4), 1)) == 0.0
+        assert sweeps == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_layout_of_the_input_does_not_matter(self, seed):
+        # rho^R(A^T) = rho^R(A); a transposed view is column-major.
+        a = random_matrix(seed + 140, 3 + seed)
+        tol = 1e-8
+        r = an.rho_sr_bisect(a.T, tol=tol)
+        assert r == an.rho_sr_bisect(np.ascontiguousarray(a.T), tol=tol)
+        assert r == an.rho_sr_bisect(np.asfortranarray(a.T), tol=tol)
+        assert abs(r - an.rho_sr_enum(a, tol=1e-10)) <= 2 * tol
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumeration(self, seed):
         n = 2 + seed % 4
@@ -275,13 +291,20 @@ class TestSignatureSystems:
             a[g.random((n, n)) < 0.3] = 0.0
             signs = g.choice([-1.0, 1.0], size=(40, n))
             scales = g.uniform(1e-3, 5.0, size=40)
-            for scale, t in ((float(scales[0]), scales[0]), (scales, scales[:, None, None])):
-                mats, dets, thr = an._systems(a, signs, scale)
-                want = np.eye(n) - (a / t) * signs[:, None, :]
-                assert mats.tobytes() == want.tobytes()
-                assert np.linalg.det(want).tobytes() == dets.tobytes()
-                ref = la.pivot_threshold(mats)
-                assert (np.abs(thr - ref) <= 1e-15 * ref).all()
+            # Column-major and transposed inputs give the same stack as
+            # their row-major copies.
+            for b in (a, np.asfortranarray(a), a.T):
+                for scale, t in ((float(scales[0]), scales[0]),
+                                 (scales, scales[:, None, None])):
+                    mats, dets, thr = an._systems(b, signs, scale)
+                    want = np.eye(n) - (np.ascontiguousarray(b) / t) * signs[:, None, :]
+                    assert mats.tobytes() == want.tobytes()
+                    assert np.linalg.det(want).tobytes() == dets.tobytes()
+                    ref = la.pivot_threshold(mats)
+                    assert (np.abs(thr - ref) <= 1e-15 * ref).all()
+                    passed = an._systems(b, signs, scale, an._off_diagonal_sums(b))
+                    assert all(x.tobytes() == y.tobytes()
+                               for x, y in zip(passed, (mats, dets, thr)))
 
 
 class TestCriticalSignatureSearch:
