@@ -4,7 +4,10 @@ Solves (I - AS) z = b for every signature S and keeps the candidates
 that land in the orthant S encodes.  Exponential, so capped at small n;
 serves as ground truth for both real solvers.  The linear solves run
 through numpy's stacked LAPACK routines, a code path deliberately
-disjoint from the hand-rolled LU the solvers use.
+disjoint from the hand-rolled LU the solvers use.  The orthant test
+runs in one pass over the whole stack of candidates; only the
+consistent ones get the residual and deduplication checks, in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ def enumerate_solutions(problem: AveProblem) -> OracleResult:
     singular = np.abs(dets) <= thresholds
 
     candidates = np.full((signs.shape[0], n), np.nan)
-    solvable = np.nonzero(~singular)[0]
+    solvable = np.flatnonzero(~singular)
     if solvable.size:
         try:
-            candidates[solvable] = np.linalg.solve(mats[solvable], problem.b)
+            systems = mats if solvable.size == len(mats) else mats[solvable]
+            candidates[solvable] = np.linalg.solve(systems, problem.b)
         except np.linalg.LinAlgError:
             for i in solvable:
                 try:
@@ -57,16 +61,15 @@ def enumerate_solutions(problem: AveProblem) -> OracleResult:
         singular_signatures=[signs[i].astype(np.int64) for i in np.nonzero(singular)[0]]
     )
     b_scale = 1.0 + float(np.abs(problem.b).max(initial=0.0))
-    for i in range(signs.shape[0]):
-        if singular[i]:
-            continue
+    z_max = np.abs(candidates).max(axis=1)
+    tau_sign = 1e-10 * (1.0 + z_max)
+    # Singular rows hold NaN, which no comparison rejects; the mask does.
+    consistent = ~singular & ~(signs * candidates < -tau_sign[:, None]).any(axis=1)
+    for i in np.flatnonzero(consistent):
         z = candidates[i]
-        tau_sign = 1e-10 * (1.0 + float(np.abs(z).max()))
-        if (signs[i] * z < -tau_sign).any():
-            continue
         if residual(problem, z) > 1e-10 * b_scale:
             continue
-        dedup_tol = 1e-9 * (1.0 + float(np.abs(z).max()))
+        dedup_tol = 1e-9 * (1.0 + z_max[i])
         if any(np.abs(z - kept).max() <= dedup_tol for _, kept in result.solutions):
             continue
         result.solutions.append((signs[i].astype(np.int64), z))

@@ -58,11 +58,11 @@ def _round_picks(y: np.ndarray, perm: list[int], p: int) -> list[tuple[int, int]
     """(index, sign) of every maximal-|y| index at position p or later,
     in ascending index order, signs read before any is eliminated; empty
     when that y is all zero."""
-    mags = np.abs(y[p:]).tolist()
-    top = max(mags)
+    mags = np.abs(y[p:])
+    top = mags.max()
     if top == 0.0:
         return []
-    chosen = sorted((perm[p + i], p + i) for i, m in enumerate(mags) if m == top)
+    chosen = sorted((perm[p + i], p + i) for i in np.flatnonzero(mags == top).tolist())
     return [(k, 1 if y[q] >= 0.0 else -1) for k, q in chosen]
 
 

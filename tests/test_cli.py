@@ -141,6 +141,17 @@ class TestSolve:
         report = read_json(str(out))
         assert report["z"] == pytest.approx([0.005, 1.0], abs=1e-9)
 
+    def test_oracle_counts_singular_signatures(self, tmp_path):
+        # A = I: I - IS is singular unless S = -I, where z = (-1/2, -1/2).
+        problem = pr.AveProblem(np.eye(2), np.array([-1.0, -1.0]))
+        path = write_problem(tmp_path / "eye.json", problem)
+        out = tmp_path / "report.json"
+        assert run("solve", path, "--method", "oracle", "--out", str(out)) == 0
+        report = read_json(str(out))
+        assert report["solution_count"] == 1
+        assert report["singular_signatures"] == 3
+        assert report["z"] == [-0.5, -0.5]
+
     def test_sge_pivot_breakdown_exit_code(self, tmp_path):
         path = write_problem(tmp_path / "p.json", pr.AveProblem(np.eye(1), np.array([2.0])))
         out = tmp_path / "report.json"

@@ -9,6 +9,87 @@ from avekit.oracle import enumerate_solutions, unique_solution
 from conftest import random_matrix, rng
 
 
+def per_signature_reference(problem):
+    """The oracle's orthant filter as one Python step per signature, with
+    the same LAPACK stack and fallback; the vectorised filter must agree
+    with it bit for bit."""
+    n = problem.n
+    signs = an.signature_stack(n, fix_first=False)
+    mats, dets, thresholds = an.signature_systems(problem.a)
+    singular = np.abs(dets) <= thresholds
+
+    candidates = np.full((signs.shape[0], n), np.nan)
+    solvable = np.nonzero(~singular)[0]
+    if solvable.size:
+        try:
+            candidates[solvable] = np.linalg.solve(mats[solvable], problem.b)
+        except np.linalg.LinAlgError:
+            for i in solvable:
+                try:
+                    candidates[i] = np.linalg.solve(mats[i], problem.b)
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+
+    solutions = []
+    b_scale = 1.0 + float(np.abs(problem.b).max(initial=0.0))
+    for i in range(signs.shape[0]):
+        if singular[i]:
+            continue
+        z = candidates[i]
+        tau_sign = 1e-10 * (1.0 + float(np.abs(z).max()))
+        if (signs[i] * z < -tau_sign).any():
+            continue
+        if pr.residual(problem, z) > 1e-10 * b_scale:
+            continue
+        dedup_tol = 1e-9 * (1.0 + float(np.abs(z).max()))
+        if any(np.abs(z - kept).max() <= dedup_tol for _, kept in solutions):
+            continue
+        solutions.append((signs[i].astype(np.int64), z))
+    return solutions, [signs[i].astype(np.int64) for i in np.nonzero(singular)[0]]
+
+
+def assert_matches_reference(problem):
+    result = enumerate_solutions(problem)
+    solutions, singular = per_signature_reference(problem)
+    assert len(result.solutions) == len(solutions)
+    for (sig, z), (ref_sig, ref_z) in zip(result.solutions, solutions):
+        assert sig.dtype == ref_sig.dtype and np.array_equal(sig, ref_sig)
+        assert z.tobytes() == ref_z.tobytes()
+    assert len(result.singular_signatures) == len(singular)
+    for sig, ref_sig in zip(result.singular_signatures, singular):
+        assert sig.dtype == ref_sig.dtype and np.array_equal(sig, ref_sig)
+    return result
+
+
+class TestMatchesPerSignatureReference:
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_problems(self, n, seed):
+        g = rng(100 * n + seed)
+        a = g.uniform(-1.0, 1.0, size=(n, n)) * (0.4, 1.0, 1.6, 3.0)[seed]
+        if seed % 2:
+            # Zeroed columns make whole families of signatures singular.
+            a[:, g.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+        s = g.choice([-1.0, 1.0], size=n)
+        b = (np.diag(s) - a) @ g.uniform(0.1, 1.0, size=n) if seed % 3 else g.uniform(-1, 1, n)
+        assert_matches_reference(pr.AveProblem(a, b))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_identity_has_singular_signatures(self, n):
+        # I - IS is singular for every S with some s_i = +1.
+        result = assert_matches_reference(pr.AveProblem(np.eye(n), -np.ones(n)))
+        assert len(result.singular_signatures) == 2 ** n - 1
+        assert len(result.solutions) == 1
+
+    def test_inflated_identity_four_solutions(self):
+        problem = pr.AveProblem(1.01 * np.eye(2), np.array([-1.0, -1.0]))
+        assert len(assert_matches_reference(problem).solutions) == 4
+
+    def test_boundary_dedup(self):
+        problem = pr.AveProblem(np.zeros((2, 2)), np.array([0.0, 1.0]))
+        assert len(assert_matches_reference(problem).solutions) == 1
+
+
 class TestEnumerateSolutions:
     def test_zero_matrix(self):
         b = np.array([3.0, -4.0])

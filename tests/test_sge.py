@@ -215,6 +215,34 @@ class TestSgeSolve:
         assert report.iterations == len(report.elimination_trace)
 
 
+class TestRoundPicks:
+    @staticmethod
+    def scan(y, perm, p):
+        """The picks by one Python comparison per remaining |y|."""
+        mags = [abs(float(v)) for v in y[p:]]
+        top = max(mags)
+        if top == 0.0:
+            return []
+        chosen = sorted((perm[p + i], p + i) for i, m in enumerate(mags) if m == top)
+        return [(k, 1 if y[q] >= 0.0 else -1) for k, q in chosen]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ties_match_the_scan(self, seed):
+        # Few distinct magnitudes, both signs and signed zeros, so most
+        # rounds tie; the picks come in ascending original index.
+        g = rng(seed)
+        n = int(g.integers(1, 30))
+        y = g.integers(0, 4, size=n) * g.choice([-1.0, 1.0], size=n)
+        perm = [int(k) for k in g.permutation(n)]
+        for p in range(n):
+            assert _round_picks(y, perm, p) == self.scan(y, perm, p)
+
+    def test_all_zero_tail_picks_nothing(self):
+        y = np.array([3.0, 0.0, -0.0])
+        assert _round_picks(y, [2, 0, 1], 1) == []
+        assert _round_picks(y, [2, 0, 1], 0) == [(2, 1)]
+
+
 @pytest.mark.usefixtures("one_column_panels")
 class TestConditionInvariance:
     def _replay_with_checks(self, problem, predicate):
