@@ -29,10 +29,6 @@ from .linalg import (
 # 2^n signature enumerations are kept below a second of work.
 MAX_ENUM_DIM = 12
 
-# Signatures, the nearest to failing at the last det sweep, whose own
-# determinants rho_sr_bisect bisects in t.
-_SEARCHED = 16
-
 
 def signature_of(z) -> np.ndarray:
     """Componentwise sign of z as a +-1 integer vector, with sign(0) = +1.
@@ -182,41 +178,28 @@ def _off_diagonal_sums(a: np.ndarray) -> np.ndarray:
     return off.sum(axis=1)
 
 
-def _systems(a: np.ndarray, signs: np.ndarray, scale, off=None):
-    """The stack I - (A/scale)S over the rows S of ``signs``, its
-    determinants and each matrix's singularity threshold.  ``scale`` is
-    one float or one per row; each matrix gets exactly the arithmetic of
-    its row in the stack of all signatures.
+def signature_systems(a: np.ndarray, scale: float = 1.0):
+    """The stack I - (A/scale)S over all signatures S (in
+    ``signature_stack(n)`` order), its determinants and each matrix's
+    singularity threshold.
 
     Row i of I - (A/t)S has absolute sum |1 - a_ii s_i / t| + off_i / t,
     where off_i = sum_{j != i} |a_ij|, so the threshold
     ``1e-14 * (1 + max_i (|1 - a_ii s_i / t| + off_i / t))`` is read off
-    the diagonals and ``off``, ``_off_diagonal_sums(a)`` (computed here
-    unless a caller that builds many stacks of one matrix passes it).  It
-    equals ``pivot_threshold`` of the matrix up to rounding."""
-    m, n = len(signs), a.shape[0]
-    scale = np.asarray(scale)
-    if off is None:
-        off = _off_diagonal_sums(a)
+    the diagonals.  It equals ``pivot_threshold`` of the matrix up to
+    rounding."""
+    signs = signature_stack(a.shape[0])
+    m, n = signs.shape
     # Row-major whatever the layout of a, so that the reshape below is a
     # view and the diagonal is added in place.
-    mats = np.multiply(a / scale[..., None, None], signs[:, None, :], order="C")
+    mats = np.multiply(a / scale, signs[:, None, :], order="C")
     # 0 - x rather than -x keeps zero entries +0, as in I - x.
     np.subtract(0.0, mats, out=mats)
     diag = mats.reshape(m, n * n)[:, ::n + 1]
     diag += 1.0
     rows = np.abs(diag)
-    rows += off / scale[..., None]
+    rows += _off_diagonal_sums(a) / scale
     return mats, np.linalg.det(mats), threshold_of_norms(rows.max(axis=1))
-
-
-def signature_systems(a: np.ndarray, scale: float = 1.0, off=None):
-    """The stack I - (A/scale)S over all signatures S (in
-    ``signature_stack(n)`` order), its determinants, and each matrix's
-    singularity threshold, the closed form of ``_systems`` that equals
-    ``pivot_threshold`` of the matrix up to rounding.  ``off`` is as in
-    ``_systems``."""
-    return _systems(a, signature_stack(a.shape[0]), scale, off)
 
 
 def det_positive_all_signatures(a) -> bool:
@@ -227,56 +210,72 @@ def det_positive_all_signatures(a) -> bool:
     return bool((dets > thr).all())
 
 
-def _sweep(a: np.ndarray, off: np.ndarray, t: float) -> tuple[bool, np.ndarray]:
-    """One det sweep at scale t: whether every signature clears its
-    threshold, and the indices of the ``_SEARCHED`` signatures with the
-    smallest margins det - threshold.  ``off`` is ``_off_diagonal_sums(a)``."""
-    _mats, dets, thr = signature_systems(a, t, off)
-    return bool((dets > thr).all()), np.argsort(dets - thr, kind="stable")[:_SEARCHED]
+@lru_cache(maxsize=None)
+def _hadamard(k: int) -> np.ndarray:
+    """The Sylvester-Hadamard matrix of order 2^k, H[i, j] =
+    (-1)^popcount(i & j); cached, read-only."""
+    bits = (signature_stack(k) < 0).astype(float)
+    h = 1.0 - 2.0 * (bits @ bits.T % 2.0)
+    h.setflags(write=False)
+    return h
 
 
-def _crossing(a: np.ndarray, off: np.ndarray, signs: np.ndarray, lo: float, hi: float,
-              tol: float):
-    """Bisect the determinant of each row S, det(I - (A/t)S) against its
-    threshold, on [lo, hi] to a bracket of width <= tol whose left end is
-    lo or a scale where S fails and whose right end is hi or a scale
-    where S passes.  ``off`` is ``_off_diagonal_sums(a)``.  Returns the
-    bracket with the largest left end."""
-    t_minus = np.full(len(signs), lo)
-    t_plus = np.full(len(signs), hi)
-    while (t_plus - t_minus).max() > tol:
-        mid = 0.5 * (t_minus + t_plus)
-        _mats, dets, thr = _systems(a, signs, mid, off)
-        passes = dets > thr
-        t_plus = np.where(passes, mid, t_plus)
-        t_minus = np.where(passes, t_minus, mid)
-    j = int(np.argmax(t_minus))
-    return float(t_minus[j]), float(t_plus[j])
+def _principal_minors(a: np.ndarray):
+    """det(A_JJ) and |J| for every subset J of the indices, J in
+    ``signature_stack(n)`` order (i in J iff s_i = -1) and det of the
+    empty block 1: one LAPACK det over the stack where(J x J, A, I)."""
+    inside = signature_stack(a.shape[0]) < 0
+    stack = np.where(inside[:, :, None] & inside[:, None, :], a, np.eye(a.shape[0]))
+    return np.linalg.det(stack), inside.sum(axis=1)
+
+
+def _expanded_systems(minors, sizes, diag, off, t: float):
+    """det(I - (A/t)S) over all signatures S by the minor expansion, and
+    bitwise the thresholds of ``signature_systems(a, t)``, both shaped
+    (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order.
+    ``minors, sizes`` are ``_principal_minors(a)``, ``diag`` is the
+    diagonal of A and ``off`` its ``_off_diagonal_sums``.
+
+    det(I - (A/t)S) = sum_J (-1/t)^|J| det(A_JJ) prod_{j in J} s_j and
+    prod_{j in J} s_j = (-1)^popcount(S & J), so the determinants are one
+    Walsh-Hadamard transform of c_J = (-1/t)^|J| det(A_JJ), applied as
+    H_hi C H_lo with C = c split into its high and low index bits.  No
+    term overflows: |c_J| <= (||A||_inf / t)^|J|, below 1e14^12 = 1e168
+    at t >= ``pivot_threshold(a)`` and n <= 12.  A threshold's max over
+    the rows of I - (A/t)S splits into a max over the low rows, set by
+    the low bits of S alone, and one over the high rows."""
+    n = len(diag)
+    low = n // 2
+    c = minors * np.power(-1.0 / t, np.arange(n + 1))[sizes]
+    dets = _hadamard(n - low) @ c.reshape(1 << (n - low), 1 << low) @ _hadamard(low)
+    # |1 - a_ii s_i / t| rounded as in signature_systems: 1 - x at
+    # s_i = +1, x + 1 at s_i = -1.
+    x, off = diag / t, off / t
+    plus, minus = np.abs(1.0 - x) + off, np.abs(x + 1.0) + off
+    hi_max, lo_max = (
+        np.where(signature_stack(k) < 0, minus[rows], plus[rows]).max(axis=1, initial=0.0)
+        for k, rows in ((n - low, slice(low, n)), (low, slice(0, low)))
+    )
+    return dets, threshold_of_norms(np.maximum.outer(hi_max, lo_max))
 
 
 def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     """Sign-real spectral radius by determinant positivity.
 
     Uses the equivalence rho^R(A/t) < 1 iff det(I - (A/t)S) > 0 for all
-    signatures S, and brackets the infimum of admissible t between an
-    inadmissible ``lo`` and an admissible ``hi``.  The lower bracket is
-    ``pivot_threshold(A)``; the check there stops at the first
-    ``_SEARCHED`` signatures (all of them at n <= 4) when one of them
-    fails, and sweeps all 2^n (returning 0 if they all pass) only
-    otherwise.  The upper bracket is ||A||_inf, or 2||A||_inf if the
-    threshold band rejects it (at rho^R = ||A||_inf): there
-    rho((A/t)S) <= 1/2 gives det >= 2^-n.
+    signatures S, and bisects on t between an inadmissible ``lo`` and an
+    admissible ``hi``.  The lower bracket is ``pivot_threshold(A)``; if
+    every signature passes there the result is 0.  The upper bracket is
+    ||A||_inf, or 2||A||_inf if the threshold band rejects it (at
+    rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
 
-    Each det sweep over all 2^n signatures also names the ``_SEARCHED``
-    signatures with the smallest margins det - threshold.  Their own
-    determinants are bisected on [lo, hi] (one small stack per step),
-    and the highest crossing [t-, t+] found moves ``lo`` up to t-, where
-    that signature fails.  One sweep at t+ then either confirms it, and
-    [t-, t+] is the final bracket, or moves ``lo`` to t+ and names the
-    next signatures.  After two sweeps in a row that fail to halve the
-    bracket, the next sweep bisects it, so the sweep count stays
-    logarithmic in ``(hi - lo) / tol``.  Returns the midpoint of the final
-    bracket, of width <= tol, or <= 4 ulp(hi) where that is wider.
+    Admissibility is tested on the principal-minor expansion of
+    det(I - (A/t)S) (``_expanded_systems``), not on an LU of each matrix:
+    the 2^n minors det(A_JJ) come from one LAPACK det call, and each
+    test at a new t is one Walsh-Hadamard transform of them, against the
+    thresholds ``signature_systems`` would use.  Returns the midpoint of
+    the final bracket, of width <= tol, or <= 4 ulp(hi) where that is
+    wider, after ceil(log2((hi - lo) / tol)) bisection steps.
     Independent of the enumeration route.
     """
     a = as_square_matrix(a)
@@ -285,34 +284,26 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     norm = infinity_norm(a)
     if norm == 0.0:
         return 0.0
+    minors, sizes = _principal_minors(a)
+    diag, off = np.diagonal(a), _off_diagonal_sums(a)
+
+    def admissible(t: float) -> bool:
+        dets, thr = _expanded_systems(minors, sizes, diag, off, t)
+        return bool((dets > thr).all())
+
     lo = pivot_threshold(a)
-    signs = signature_stack(n)
-    off = _off_diagonal_sums(a)
-    # rho^R = 0 needs every signature to pass at lo; one failure among the
-    # first few settles that without the full sweep, and at n <= 4 the
-    # first few are all of them.
-    _mats, dets, thr = _systems(a, signs[:_SEARCHED], lo, off)
-    if (dets > thr).all() and (len(signs) <= _SEARCHED or _sweep(a, off, lo)[0]):
+    if admissible(lo):
         return 0.0
-    ok, weakest = _sweep(a, off, norm)
-    lo, hi = (lo, norm) if ok else (norm, 2.0 * norm)
+    lo, hi = (lo, norm) if admissible(norm) else (norm, 2.0 * norm)
     # No bracket gets narrower than a few ulps of hi, so a tol below that
     # would never be met.
     tol = max(tol, 4.0 * float(np.spacing(hi)))
-    misses = 0
     while hi - lo > tol:
-        width = hi - lo
-        lo, t = _crossing(a, off, signs[weakest], lo, hi, tol)
-        if hi - lo <= tol:
-            break
-        if misses == 2:
-            t = 0.5 * (lo + hi)
-        ok, weakest = _sweep(a, off, t)
-        if ok:
+        t = 0.5 * (lo + hi)
+        if admissible(t):
             hi = t
         else:
             lo = t
-        misses = misses + 1 if hi - lo > 0.5 * width else 0
     return 0.5 * (lo + hi)
 
 

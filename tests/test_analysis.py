@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,25 +189,26 @@ class TestRhoSrBisect:
         a = np.array([[0.0, 0.7], [0.0, 0.0]])
         assert an.rho_sr_bisect(a) == 0.0
 
-    def test_check_at_lo_falls_through_to_the_full_sweep(self, sweeps):
-        # Strictly upper triangular at n = 8: all of the first _SEARCHED
-        # signatures pass at lo, so the sweep over all 256 must decide.
-        assert len(an.signature_stack(8)) > an._SEARCHED
+    def test_check_at_lo_falls_through_to_the_full_sweep(self, sweeps, det_calls):
+        # Strictly upper triangular at n = 8: every signature passes at lo,
+        # and the one expansion sweep there covers all 256 of them.
         assert an.rho_sr_bisect(np.triu(random_matrix(8, 8), 1)) == 0.0
         assert sweeps == [True]
-        # Here only signatures with s_7 = -1, none of the first
-        # _SEARCHED, fail at lo: rho^R is 0.5, not 0.
+        assert det_calls == [1]
+        # Here only signatures with s_7 = -1, the second half of the stack,
+        # fail at lo: rho^R is 0.5, not 0.
         a = np.diag([0.0] * 7 + [-0.5])
-        first = an.signature_stack(8)[:an._SEARCHED]
-        _mats, dets, thr = an._systems(a, first, la.pivot_threshold(a))
-        assert (dets > thr).all()
+        _mats, dets, thr = an.signature_systems(a, scale=la.pivot_threshold(a))
+        assert np.array_equal(dets <= thr, an.signature_stack(8)[:, 7] < 0)
         assert an.rho_sr_bisect(a, tol=1e-10) == pytest.approx(0.5, abs=1e-9)
+        assert sweeps[1] is False
 
-    def test_check_at_lo_is_the_whole_sweep_at_small_n(self, sweeps):
-        # At n <= 4 the first _SEARCHED signatures are all 2^n of them.
-        assert len(an.signature_stack(4)) <= an._SEARCHED
+    def test_check_at_lo_is_the_whole_sweep_at_small_n(self, sweeps, det_calls):
+        # One LAPACK det call for the minors and one expansion sweep at lo
+        # settle rho^R = 0.
         assert an.rho_sr_bisect(np.triu(random_matrix(4, 4), 1)) == 0.0
-        assert sweeps == []
+        assert sweeps == [True]
+        assert det_calls == [1]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_layout_of_the_input_does_not_matter(self, seed):
@@ -224,60 +227,95 @@ class TestRhoSrBisect:
         tol = 1e-8
         assert abs(an.rho_sr_enum(a, tol=1e-10) - an.rho_sr_bisect(a, tol=tol)) <= 2 * tol
 
-    def test_norm_attaining_radius_is_bounded(self, monkeypatch):
+    def test_norm_attaining_radius_is_bounded(self, sweeps, det_calls):
         # rho^R(1.1 I) = ||A||_inf, so t = ||A||_inf sits in the threshold
         # band; the bracket must not creep up from there in 1 + tol steps.
-        calls = []
-        systems = an.signature_systems
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return systems(*args, **kwargs)
-
-        monkeypatch.setattr(an, "signature_systems", counting)
-        r = an.rho_sr_bisect(pr.inflated_identity(0.1, 3), tol=1e-10)
-        assert len(calls) <= 64
+        a = pr.inflated_identity(0.1, 3)
+        r = an.rho_sr_bisect(a, tol=1e-10)
+        assert det_calls == [1]
+        assert len(sweeps) <= plain_bisection(a, 1e-10)[1] <= 64
         # det(I - (1.1/t) I) = (1 - 1.1/t)^3 must clear ~2e-14 for t to count.
         eps = np.finfo(float).eps
         assert abs(r - 1.1) <= 2 * (1 + eps) * 1e-14 ** (1 / 3)
 
 
-def plain_bisection(a, tol):
-    """rho_sr_bisect as bisection on t with one det sweep per step: the
-    estimate and its number of sweeps."""
+def plain_bisection(a, tol, log=None):
+    """rho_sr_bisect as bisection on t with one LAPACK det sweep per step:
+    the estimate and its number of sweeps.  Appends each sweep's verdict
+    to ``log`` when one is given."""
+    verdicts = [] if log is None else log
+
     def admissible(t):
         _mats, dets, thr = an.signature_systems(a, scale=t)
-        return bool((dets > thr).all())
+        verdicts.append(bool((dets > thr).all()))
+        return verdicts[-1]
 
     norm = la.infinity_norm(a)
     lo = la.pivot_threshold(a)
     if admissible(lo):
         return 0.0, 1
     hi = norm if admissible(norm) else 2.0 * norm
-    sweeps = 2
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        sweeps += 1
         if admissible(mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), sweeps
+    return 0.5 * (lo + hi), len(verdicts)
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Whether each det sweep of rho_sr_bisect found every signature admissible."""
+    """Whether each expansion sweep of rho_sr_bisect found every signature
+    admissible."""
     log = []
-    systems = an.signature_systems
+    expanded = an._expanded_systems
 
     def recording(*args, **kwargs):
-        out = systems(*args, **kwargs)
-        log.append(bool((out[1] > out[2]).all()))
+        out = expanded(*args, **kwargs)
+        log.append(bool((out[0] > out[1]).all()))
         return out
 
-    monkeypatch.setattr(an, "signature_systems", recording)
+    monkeypatch.setattr(an, "_expanded_systems", recording)
     return log
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """The number of np.linalg.det calls made by each rho_sr_bisect call."""
+    log = []
+    det, bisect = np.linalg.det, an.rho_sr_bisect
+
+    def counting_det(*args, **kwargs):
+        log[-1] += 1
+        return det(*args, **kwargs)
+
+    def counting_bisect(*args, **kwargs):
+        log.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "det", counting_det)
+            return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(an, "rho_sr_bisect", counting_bisect)
+    return log
+
+
+def expansion_bound(a, t):
+    """16 n eps sum_J prod_{i in J} r_i / t^|J| = 16 n eps prod_i (1 + r_i/t),
+    r_i the row sums of |A|: a bound on how far the minor expansion's and
+    LAPACK's det(I - (A/t)S) may each stray from the exact value.  The
+    terms bound |det(A_JJ)| t^-|J|, and the rounding error of a computed
+    minor, which is not small against |det(A_JJ)| when it cancels."""
+    n = a.shape[0]
+    return 16 * n * np.finfo(float).eps * np.prod(1.0 + np.abs(a).sum(axis=1) / t)
+
+
+def expansion(a, t):
+    """_expanded_systems of A at scale t, flattened to signature order."""
+    minors, sizes = an._principal_minors(a)
+    dets, thr = an._expanded_systems(minors, sizes, np.diagonal(a),
+                                     an._off_diagonal_sums(a), t)
+    return dets.reshape(-1), thr.reshape(-1)
 
 
 class TestSignatureSystems:
@@ -286,48 +324,81 @@ class TestSignatureSystems:
         # The closed-form thresholds match pivot_threshold of the returned
         # matrices, which are bitwise I - (A/t)S, zero entries included.
         g = np.random.default_rng(400 + n)
+        signs = an.signature_stack(n)
         for k in range(4):
             a = random_matrix(410 + 20 * n + k, n, norm=float(g.uniform(0.1, 4.0)))
             a[g.random((n, n)) < 0.3] = 0.0
-            signs = g.choice([-1.0, 1.0], size=(40, n))
-            scales = g.uniform(1e-3, 5.0, size=40)
+            t = float(g.uniform(1e-3, 5.0))
             # Column-major and transposed inputs give the same stack as
             # their row-major copies.
             for b in (a, np.asfortranarray(a), a.T):
-                for scale, t in ((float(scales[0]), scales[0]),
-                                 (scales, scales[:, None, None])):
-                    mats, dets, thr = an._systems(b, signs, scale)
-                    want = np.eye(n) - (np.ascontiguousarray(b) / t) * signs[:, None, :]
-                    assert mats.tobytes() == want.tobytes()
-                    assert np.linalg.det(want).tobytes() == dets.tobytes()
-                    ref = la.pivot_threshold(mats)
-                    assert (np.abs(thr - ref) <= 1e-15 * ref).all()
-                    passed = an._systems(b, signs, scale, an._off_diagonal_sums(b))
-                    assert all(x.tobytes() == y.tobytes()
-                               for x, y in zip(passed, (mats, dets, thr)))
+                mats, dets, thr = an.signature_systems(b, scale=t)
+                want = np.eye(n) - (np.ascontiguousarray(b) / t) * signs[:, None, :]
+                assert mats.tobytes() == want.tobytes()
+                assert np.linalg.det(want).tobytes() == dets.tobytes()
+                ref = la.pivot_threshold(mats)
+                assert (np.abs(thr - ref) <= 1e-15 * ref).all()
+
+
+class TestMinorExpansion:
+    @pytest.mark.parametrize("k", range(7))
+    def test_hadamard_entries(self, k):
+        bits = an.signature_stack(k) < 0
+        parity = (bits[:, None, :] & bits[None, :, :]).sum(axis=2) % 2
+        assert np.array_equal(an._hadamard(k), 1.0 - 2.0 * parity)
+
+    def test_minors_are_the_principal_blocks(self):
+        a = random_matrix(600, 5)
+        minors, sizes = an._principal_minors(a)
+        for j, inside in enumerate(an.signature_stack(5) < 0):
+            block = a[np.ix_(inside, inside)]
+            assert sizes[j] == inside.sum()
+            assert minors[j] == pytest.approx(np.linalg.det(block) if inside.any() else 1.0,
+                                              rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_lapack_dets_and_thresholds(self, n):
+        # At lo, near rho^R, at ||A||_inf and at 2||A||_inf the transform's
+        # determinants agree with LAPACK's within expansion_bound, and its
+        # thresholds are signature_systems' bit for bit.
+        g = np.random.default_rng(500 + n)
+        for k in range(3):
+            a = random_matrix(510 + 20 * n + k, n, norm=float(g.uniform(0.1, 4.0)))
+            a[g.random((n, n)) < 0.3] = 0.0
+            norm = la.infinity_norm(a)
+            if norm == 0.0:
+                continue
+            rho = an.rho_sr_enum(a, tol=1e-10)
+            for t in (la.pivot_threshold(a), rho if rho > 0.0 else 0.5 * norm,
+                      norm, 2.0 * norm):
+                dets, thr = expansion(a, t)
+                _mats, want, want_thr = an.signature_systems(a, scale=t)
+                assert thr.tobytes() == want_thr.tobytes()
+                assert np.abs(dets - want).max() <= expansion_bound(a, t)
 
 
 class TestCriticalSignatureSearch:
     @pytest.mark.parametrize("seed", range(10))
     def test_one_matrix_matches_its_stack_row(self, seed):
+        # One matrix I - (A/t)S has LAPACK's det of its row in the stack of
+        # all signatures; the expansion gives that row within the bound and
+        # its threshold bit for bit.
         g = np.random.default_rng(seed)
         n = 1 + seed
         a = random_matrix(seed + 300, n, norm=float(g.uniform(0.1, 4.0)))
         signs = an.signature_stack(n)
         picks = g.integers(0, len(signs), size=6)
         scales = g.uniform(1e-3, 5.0, size=6)
-        _m, dets, thr = an._systems(a, signs[picks], scales)
-        for i, (k, t) in enumerate(zip(picks, scales)):
+        for k, t in zip(picks, scales):
             _mats, all_dets, all_thr = an.signature_systems(a, scale=float(t))
             stack = np.eye(n)[None, :, :] - (a[None, :, :] / float(t)) * signs[:, None, :]
             assert np.linalg.det(stack).tobytes() == all_dets.tobytes()
-            _one, det, one_thr = an._systems(a, signs[k:k + 1], float(t))
-            for got, want in ((det[0], all_dets[k]), (one_thr[0], all_thr[k]),
-                              (dets[i], all_dets[k]), (thr[i], all_thr[k])):
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            assert (det[0] > one_thr[0]) == (all_dets[k] > all_thr[k])
+            assert np.linalg.det(stack[k]).tobytes() == all_dets[k].tobytes()
+            dets, thr = expansion(a, float(t))
+            assert np.float64(thr[k]).tobytes() == np.float64(all_thr[k]).tobytes()
+            assert abs(dets[k] - all_dets[k]) <= expansion_bound(a, float(t))
 
-    def test_criterion_10_matrices_take_no_more_sweeps_than_bisection(self, sweeps):
+    def test_criterion_10_matrices_take_no_more_sweeps_than_bisection(self, sweeps, det_calls):
         tol = 1e-8
         for i in range(200):
             a = random_matrix(90_000 + i, 2 + i % 5)
@@ -336,17 +407,23 @@ class TestCriticalSignatureSearch:
             estimate = an.rho_sr_bisect(a, tol=tol)
             assert len(sweeps) <= bisection_sweeps
             assert abs(estimate - reference) <= tol
+        assert det_calls == [1] * 200
 
     @pytest.mark.parametrize("cls, nu", [
         ("norm_lt_half", None), ("irreducible_half", None), ("sdd_two_thirds", None),
         ("tridiag_abs_sym", None), ("unconstrained", 0.9), ("unconstrained", 1.5),
         ("unconstrained", 4.0),
     ])
-    def test_analyze_rho_n12_takes_at_most_12_sweeps(self, sweeps, cls, nu):
-        # The n = 12 instances of the analyze-rho benchmark at seed 21.
+    def test_analyze_rho_n12_takes_at_most_12_sweeps(self, sweeps, det_calls, cls, nu):
+        # The n = 12 instances of the analyze-rho benchmark at seed 21: one
+        # LAPACK det call, then no more expansion sweeps than plain
+        # bisection makes from [lo, ||A||_inf] or [||A||_inf, 2||A||_inf].
         problem, _z = pr.random_instance(cls, 12, 21, nu=nu)
-        estimate = an.rho_sr_bisect(problem.a, tol=1e-10)
-        assert len(sweeps) <= 12
+        tol = 1e-10
+        estimate = an.rho_sr_bisect(problem.a, tol=tol)
+        assert det_calls == [1]
+        norm = la.infinity_norm(problem.a)
+        assert len(sweeps) <= 2 + math.ceil(math.log2(norm / tol))
         assert abs(estimate - an.rho_sr_enum(problem.a, tol=1e-10)) <= 2e-10
 
     def test_tol_below_float_resolution_ends(self):
@@ -357,14 +434,31 @@ class TestCriticalSignatureSearch:
         assert estimate == pytest.approx(an.rho_sr_bisect(a / 1e9, tol=1e-12) * 1e9, rel=1e-12)
 
     def test_first_crossing_is_not_critical(self, sweeps):
-        # The highest crossing among the signatures the sweep at ||A||_inf
-        # names is not rho^R here: the sweep at its t+ finds another
-        # signature failing, and the search goes on from there.
+        # The highest crossing among the 16 weakest signatures at
+        # ||A||_inf is not rho^R for this matrix.  Bisection on the
+        # expansion decides every step as LAPACK dets do.
         a = random_matrix(90_003, 5)
+        verdicts = []
+        reference, _ = plain_bisection(a, 1e-8, verdicts)
         estimate = an.rho_sr_bisect(a, tol=1e-8)
-        assert sweeps[:2] == [True, False]
-        assert sweeps[-1] is True
+        assert sweeps == verdicts
+        assert estimate == reference
         assert abs(estimate - an.rho_sr_enum(a, tol=1e-10)) <= 2e-8
+
+    @pytest.mark.parametrize("kind", ["triu", "bidiagonal"])
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_cancelling_expansion_agrees_with_enumeration(self, n, kind):
+        # rho^R << ||A||_inf: the expansion's terms (||A||_inf / t)^|J| are
+        # large near rho^R and cancel to a determinant of order one.
+        g = np.random.default_rng(700 + n)
+        if kind == "triu":
+            u = g.uniform(-1.0, 1.0, (n, n))
+            a = 10.0 * np.triu(u, 1) + 1e-6 * u
+        else:
+            a = (np.diag(g.choice([-20.0, 20.0], n - 1), 1)
+                 + np.diag(g.choice([-1e-4, 1e-4], n - 1), -1))
+        tol = 1e-8
+        assert abs(an.rho_sr_enum(a, tol=1e-10) - an.rho_sr_bisect(a, tol=tol)) <= 2 * tol
 
 
 class TestDetPositivity:
