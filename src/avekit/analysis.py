@@ -229,12 +229,27 @@ def _principal_minors(a: np.ndarray):
     return np.linalg.det(stack), inside.sum(axis=1)
 
 
-def _expanded_systems(minors, sizes, diag, off, t: float):
+def _threshold_rows(a: np.ndarray):
+    """What the thresholds of ``_expanded_systems`` read of A, fixed for a
+    whole search: -a_ii then a_ii, the off-diagonal sums off_i (from
+    ``_off_diagonal_sums``) twice, and for the high and the low half of
+    the indices (i >= n//2, i < n//2) a ``signature_stack`` of the half
+    as positions into those 2n entries: i at s_i = +1, n + i at
+    s_i = -1."""
+    n = a.shape[0]
+    low = n // 2
+    diag, off = np.diagonal(a), _off_diagonal_sums(a)
+    halves = tuple(np.where(signature_stack(k) < 0, n, 0) + np.arange(first, first + k)
+                   for k, first in ((n - low, low), (low, 0)))
+    return np.concatenate([-diag, diag]), np.concatenate([off, off]), halves
+
+
+def _expanded_systems(minors, sizes, rows, t: float):
     """det(I - (A/t)S) over all signatures S by the minor expansion, and
     bitwise the thresholds of ``signature_systems(a, t)``, both shaped
     (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order.
-    ``minors, sizes`` are ``_principal_minors(a)``, ``diag`` is the
-    diagonal of A and ``off`` its ``_off_diagonal_sums``.
+    ``minors, sizes`` are ``_principal_minors(a)`` and ``rows`` is
+    ``_threshold_rows(a)``.
 
     det(I - (A/t)S) = sum_J (-1/t)^|J| det(A_JJ) prod_{j in J} s_j and
     prod_{j in J} s_j = (-1)^popcount(S & J), so the determinants are one
@@ -244,18 +259,15 @@ def _expanded_systems(minors, sizes, diag, off, t: float):
     at t >= ``pivot_threshold(a)`` and n <= 12.  A threshold's max over
     the rows of I - (A/t)S splits into a max over the low rows, set by
     the low bits of S alone, and one over the high rows."""
-    n = len(diag)
+    signed_diag, off, halves = rows
+    n = len(off) // 2
     low = n // 2
     c = minors * np.power(-1.0 / t, np.arange(n + 1))[sizes]
     dets = _hadamard(n - low) @ c.reshape(1 << (n - low), 1 << low) @ _hadamard(low)
-    # |1 - a_ii s_i / t| rounded as in signature_systems: 1 - x at
-    # s_i = +1, x + 1 at s_i = -1.
-    x, off = diag / t, off / t
-    plus, minus = np.abs(1.0 - x) + off, np.abs(x + 1.0) + off
-    hi_max, lo_max = (
-        np.where(signature_stack(k) < 0, minus[rows], plus[rows]).max(axis=1, initial=0.0)
-        for k, rows in ((n - low, slice(low, n)), (low, slice(0, low)))
-    )
+    # |1 - a_ii s_i / t| + off_i / t rounded as in signature_systems:
+    # 1 + (-a_ii / t) is 1 - x and 1 + a_ii / t is x + 1, bit for bit.
+    norms = np.abs(1.0 + signed_diag / t) + off / t
+    hi_max, lo_max = [norms[half].max(axis=1, initial=0.0) for half in halves]
     return dets, threshold_of_norms(np.maximum.outer(hi_max, lo_max))
 
 
@@ -285,10 +297,10 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     if norm == 0.0:
         return 0.0
     minors, sizes = _principal_minors(a)
-    diag, off = np.diagonal(a), _off_diagonal_sums(a)
+    rows = _threshold_rows(a)
 
     def admissible(t: float) -> bool:
-        dets, thr = _expanded_systems(minors, sizes, diag, off, t)
+        dets, thr = _expanded_systems(minors, sizes, rows, t)
         return bool((dets > thr).all())
 
     lo = pivot_threshold(a)

@@ -10,8 +10,10 @@ Both eliminate columns 0, 1, ..., n-1 in that order and the panel is
 flushed exactly when it fills, so the open panel of column k always
 starts at ``k - k % _PANEL``; the kernel derives it and callers keep no
 panel state.
-``max_abs_real_roots`` is one bisection on sign-variation counts that
-brackets only the largest |root| over a stack of polynomials.
+``max_abs_real_roots`` brackets only the largest |root| over a stack of
+polynomials by Sturm sign-variation counts: every chain is built on the
+stack, any degree drop included, and the bisection runs on an exact
+dyadic grid, several grid levels per pass once few rows are left.
 Everything operates on plain float64 numpy arrays: matrices
 are row-major ``(n, n)``, vectors ``(n,)``, all entries finite.
 
@@ -22,6 +24,7 @@ small dimensions (n <= 16) this package targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,9 @@ _POLY_EPS = 5e-13
 # Columns per elimination panel: the trailing block receives a panel's
 # pending updates as one matrix product once the panel is full.
 _PANEL = 64
+
+# Row-point pairs one multisection pass of max_abs_real_roots may count.
+_SECTION = 64
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -214,124 +220,115 @@ def char_polys_stack(mats: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers (degree-ascending coefficient arrays).
-
-
-def _poly_trim(coeffs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    keep = np.nonzero(np.abs(coeffs) > tol)[0]
-    if keep.size == 0:
-        return coeffs[:0]
-    return coeffs[: keep[-1] + 1]
-
-
-def _poly_deriv(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.size <= 1:
-        return coeffs[:0]
-    return coeffs[1:] * np.arange(1, coeffs.size)
-
-
-def _poly_rem(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remainder of u / v for degree-ascending arrays, deg v >= 1."""
-    r = np.array(u, dtype=float)
-    dv = v.size - 1
-    lead = v[-1]
-    while r.size - 1 >= dv:
-        q = r[-1] / lead
-        r[-dv - 1:-1] -= q * v[:-1]
-        r = r[:-1]
-        r = _poly_trim(r, _POLY_EPS * max(1.0, float(np.abs(r).max(initial=0.0))))
-    return r
-
-
-def _sturm_chain(p: np.ndarray) -> list[np.ndarray]:
-    """Generalized Sturm chain of p, members rescaled to unit max coefficient.
-
-    The chain stops at the last nonzero remainder (the gcd of p and p'),
-    which counts distinct real roots regardless of multiplicities.
-    """
-    p = _poly_trim(np.asarray(p, dtype=float))
-    if p.size == 0:
-        raise ValueError("zero polynomial has no Sturm chain")
-    chain = [p / np.abs(p).max()]
-    if p.size == 1:
-        return chain
-    d = _poly_deriv(chain[0])
-    chain.append(d / np.abs(d).max())
-    while chain[-1].size > 1:
-        r = _poly_rem(chain[-2], chain[-1])
-        r = _poly_trim(r, _POLY_EPS)
-        if r.size == 0:
-            break
-        chain.append(-r / np.abs(r).max())
-    return chain
-
-
-# ---------------------------------------------------------------------------
 # Batched Sturm machinery for the largest-magnitude real root.  This backs
 # rho0 and the exponential signature enumerations, where thousands of
-# polynomials of the same degree are processed at once.
+# polynomials of the same degree are processed at once.  The chains are
+# kept coefficient-major, rows last, so that every per-row step, reduction
+# and count runs over contiguous rows.
 
 
-def _sturm_chains_stack(polys: np.ndarray) -> np.ndarray:
-    """Sturm chains for a stack of monic degree-n polynomials.
+def _sturm_chains_stack(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Sturm chains for a stack of polynomials.
 
-    Input ``(m, n + 1)`` degree-ascending.  Output ``(m, n + 1, n + 1)``
-    with chain member k stored degree-DESCENDING, left-padded with zeros.
-    Rows whose chain terminates early (multiple roots) keep zero members,
-    which the sign-variation count skips.  Rows with an irregular degree
-    drop fall back to the scalar chain.
+    Input ``(m, n + 1)`` degree-ascending, no row zero (ValueError).
+    Returns the chains ``coef``, shaped ``(n + 1, n + 1, m)`` and
+    C-contiguous, with ``coef[j, k, i]`` the coefficient of x^(n - j) in
+    member k of row i's chain (so the members are stored
+    degree-descending, left-padded with zeros), and the members' degrees
+    ``(n + 1, m)``, -1 past the end of a chain.
+
+    Member 0 is the polynomial and member 1 its derivative, each scaled
+    to unit max |coefficient|.  Member k is minus the remainder of member
+    k - 2 by member k - 1, scaled the same way, by ``_next_member``: one
+    long division over all rows whose two members have the same degrees,
+    so a row whose degree drops by more than one (x^5 + c_1 x + c_0,
+    whose p' has no terms between x^4 and 1) takes the same vectorised
+    path as the rest.  A remainder whose max |coefficient| is at most
+    ``_POLY_EPS`` ends the chain at the gcd of p and p', so a multiple
+    root counts once; the later members stay zero, which the
+    sign-variation count skips.
     """
     polys = np.asarray(polys, dtype=float)
     m, w = polys.shape
     n = w - 1
-    chains = np.zeros((m, n + 1, w))
-    desc = polys[:, ::-1]
-    chains[:, 0] = desc / np.abs(desc).max(axis=1, keepdims=True)
-    if n == 0:
-        return chains
-    der = chains[:, 0, :-1] * np.arange(n, 0, -1)[None, :]
-    chains[:, 1, 1:] = der / np.abs(der).max(axis=1, keepdims=True)
-
-    active = np.ones(m, dtype=bool)
-    irregular = np.zeros(m, dtype=bool)
-    for k in range(2, n + 1):
-        if not active.any():
+    desc = polys.T[::-1]
+    size = np.abs(desc).max(axis=0)
+    if not size.all():
+        raise ValueError("zero polynomial has no Sturm chain")
+    coef = np.zeros((w, w, m))
+    degree = np.full((w, m), -1)
+    coef[:, 0] = desc / size
+    zero = desc == 0.0
+    degree[0] = n - (np.logical_and.accumulate(zero, axis=0).sum(axis=0) if zero[0].any() else 0)
+    rows = np.flatnonzero(degree[0] >= 1)
+    if rows.size:
+        rows = _row_index(rows, m)
+        der = coef[:-1, 0, rows] * np.arange(n, 0, -1)[:, None]
+        coef[1:, 1, rows] = der / np.abs(der).max(axis=0)
+        degree[1, rows] = degree[0, rows] - 1
+    for k in range(2, w):
+        # Rows grouped by the degrees of members k - 2 and k - 1; -1 once
+        # member k - 1 is a constant or past the end.
+        pair = np.where(degree[k - 1] >= 1, degree[k - 2] * w + degree[k - 1], -1)
+        top = pair.max()
+        if top < 0:
             break
-        u = chains[:, k - 2]
-        v = chains[:, k - 1]
-        v_lead = v[:, k - 1]
-        bad_lead = active & (np.abs(v_lead) <= 1e-10)
-        safe = np.where(np.abs(v_lead) > 1e-10, v_lead, 1.0)
-        v_shift = np.empty_like(v)
-        v_shift[:, :-1] = v[:, 1:]
-        v_shift[:, -1] = 0.0
-        q1 = u[:, k - 2] / safe
-        u2 = u - q1[:, None] * v_shift
-        q0 = u2[:, k - 1] / safe
-        r = -(u2 - q0[:, None] * v)
-        r[:, :k] = 0.0
-        scale = np.abs(r).max(axis=1)
-        # A degenerate divisor invalidates the whole division; those rows
-        # must take the scalar path no matter what the remainder looks like.
-        ended = active & ~bad_lead & (scale <= _POLY_EPS)
-        irr = active & ~ended & (bad_lead | (np.abs(r[:, k]) <= 1e-10 * scale))
-        cont = active & ~ended & ~irr
-        chains[:, k] = np.where(
-            cont[:, None], r / np.where(scale > 0.0, scale, 1.0)[:, None], 0.0
-        )
-        irregular |= irr
-        active = cont
-
-    for i in np.nonzero(irregular)[0]:
-        chains[i] = 0.0
-        for k, member in enumerate(_sturm_chain(polys[i])):
-            deg = member.size - 1
-            chains[i, k, w - 1 - deg:] = member[::-1]
-    return chains
+        for key in [top] if pair.min() == top else np.unique(pair[pair >= 0]):
+            rows = _row_index(np.flatnonzero(pair == key), m)
+            _next_member(coef, degree, rows, k, n - key // w, n - key % w)
+    return coef, degree
 
 
-def _count_variations(s: np.ndarray) -> np.ndarray:
-    """Per-row sign variations of (m, L) sign values, skipping zeros."""
+def _row_index(index: np.ndarray, m: int):
+    """Row ``index`` into a stack of m, as a basic slice when it is every
+    row, so that reads are views and no row is gathered."""
+    return slice(None) if index.size == m else index
+
+
+def _next_member(coef: np.ndarray, degree: np.ndarray, rows, k: int, cu: int, cv: int) -> None:
+    """Member k of the chains ``rows``, whose members k - 2 and k - 1 lead
+    at columns cu < cv: cv - cu + 1 steps of long division give the
+    remainder, whose coefficients leading by at most 1e-10 times its max
+    |coefficient| are dropped, and the member is minus the rest, scaled
+    to unit max |coefficient|, or zero where that max is at most
+    ``_POLY_EPS``.  Only the columns from k - 2 on are touched, as member
+    j has degree at most n - j.  On a degree drop of one this is the
+    two-term division of a regular chain."""
+    w = coef.shape[0]
+    base = k - 2
+    width = w - base
+    r = coef[base:, k - 2, rows]
+    v = coef[base:, k - 1, rows]
+    # v, and v times x^s for s up to cv - cu, as slices of one padded copy.
+    padded = np.zeros((width + cv - cu, v.shape[1]))
+    padded[:width] = v
+    lead = v[cv - base]
+    for c in range(cu - base, cv - base + 1):
+        s = cv - base - c
+        step = (r[c] / lead) * padded[s:s + width]
+        r = np.subtract(r, step, out=step)
+    rem = r[cv - base + 1:]
+    np.negative(rem, out=rem)
+    size = np.abs(rem)
+    scale = size.max(axis=0)
+    member = rem / np.where(scale > 0.0, scale, 1.0)
+    new_degree = w - 2 - cv
+    small = size <= 1e-10 * scale
+    if small[0].any():
+        dropped = np.logical_and.accumulate(small, axis=0)
+        member[dropped] = 0.0
+        new_degree = new_degree - dropped.sum(axis=0)
+    ended = scale <= _POLY_EPS
+    if ended.any():
+        member[:, ended] = 0.0
+        new_degree = np.where(ended, -1, new_degree)
+    coef[cv + 1:, k, rows] = member
+    degree[k, rows] = new_degree
+
+
+def _variations_across_zeros(s: np.ndarray) -> np.ndarray:
+    """Per-row sign variations of (m, L) sign values, skipping zeros,
+    each entry compared with the last nonzero entry before it."""
     m, L = s.shape
     nonzero = s != 0.0
     # Positions in the smallest signed type that holds them (int8 here),
@@ -347,42 +344,59 @@ def _count_variations(s: np.ndarray) -> np.ndarray:
     return flips.sum(axis=1)
 
 
+def _count_variations(s: np.ndarray) -> np.ndarray:
+    """Sign variations of (..., L, m) sign values along the L axis,
+    skipping zeros, shaped (..., m).
+
+    Counted on adjacent pairs, which is exact unless a zero sits between
+    two nonzero entries; the sequences where a nonzero entry follows a
+    zero are recounted by ``_variations_across_zeros``.  The counts are
+    int16, which sums faster than the default int64 and holds the at
+    most L - 1 variations of any chain below degree 2^15."""
+    flips = (s[..., :-1, :] * s[..., 1:, :] < 0.0).sum(axis=-2, dtype=np.int16)
+    nonzero = s != 0.0
+    redo = (nonzero[..., 1:, :] > nonzero[..., :-1, :]).any(axis=-2)
+    if redo.any():
+        flips[redo] = _variations_across_zeros(np.moveaxis(s, -2, -1)[redo])
+    return flips
+
+
 def _variations_stack(coef: np.ndarray, x) -> np.ndarray:
     """Sign variations of each row's chain at the points x.
 
-    ``coef`` is the chain stack in coefficient-major layout ``(w, m, L)``,
-    C-contiguous: ``coef[j, i, k]`` is the coefficient of x^(w-1-j) in
-    member k of row i's chain (``_sturm_chains_stack(polys)`` transposed
-    by ``(2, 0, 1)``), so each Horner step reads one contiguous ``(m, L)``
-    slab.  x broadcasts against the m rows: one point or one per row
-    gives ``(m,)`` counts, k points of shape ``(k, 1)`` give ``(k, m)``
-    counts."""
-    w, m, L = coef.shape
-    xcol = np.asarray(x, dtype=float)[..., None]
-    vals = np.empty(np.broadcast_shapes(xcol.shape, (m, L)))
+    ``coef`` is a chain stack as ``_sturm_chains_stack`` returns it,
+    ``(w, L, m)``, C-contiguous, so each Horner step reads one contiguous
+    ``(L, m)`` slab.  x broadcasts against the m rows: one point or one
+    per row gives ``(m,)`` counts, k points of shape ``(k, 1)`` give
+    ``(k, m)`` counts."""
+    w, L, m = coef.shape
+    x = np.asarray(x, dtype=float)
+    xcol = x[..., None, :] if x.ndim else x
+    # xcol is (..., 1, m) or (..., 1, 1): the counts' leading axes, then
+    # the members and the rows.
+    vals = np.empty(xcol.shape[:-2] + (L, m))
     vals[...] = coef[0]
     for j in range(1, w):
         vals *= xcol
         vals += coef[j]
-    return _count_variations(np.sign(vals).reshape(-1, L)).reshape(vals.shape[:-1])
+    return _count_variations(np.sign(vals))
 
 
-def _variations_at_infinity(chains: np.ndarray, positive: bool) -> np.ndarray:
-    """Sign variations at +-infinity, read off the leading coefficients.
+def _variations_at_infinity(coef: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Sign variations of each row's chain at +infinity and at -infinity,
+    ``(2, m)``, read off the members' leading coefficients, a member of
+    degree d taking the sign (-1)^d of x^d at -infinity.  ``coef,
+    degree`` are ``_sturm_chains_stack``'s.
 
     Exact, which matters: near a multiple root the polynomial itself
     evaluates to rounding noise, so counting at a finite outer bracket
     can lose roots sitting at the edge of the spectrum bound.
     """
-    nonzero = chains != 0.0
-    first = np.argmax(nonzero, axis=2)
-    lead = np.take_along_axis(chains, first[:, :, None], axis=2)[:, :, 0]
-    s = np.sign(lead)
-    if not positive:
-        degree = chains.shape[2] - 1 - first
-        s = np.where(degree % 2 == 1, -s, s)
-    s[~nonzero.any(axis=2)] = 0.0
-    return _count_variations(s)
+    w = coef.shape[0]
+    # An ended member (degree -1) reads 0 in any column.
+    lead = np.take_along_axis(coef, np.minimum(w - 1 - degree, w - 1)[None], axis=0)[0]
+    at_inf = np.sign(lead)
+    return _count_variations(np.stack([at_inf, np.where(degree & 1, -at_inf, at_inf)]))
 
 
 def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> float:
@@ -392,40 +406,55 @@ def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> f
 
     One bisection on t over the whole stack, outside-in: t moves up while
     some live row still has a root with |root| > t (by Sturm counts), and
-    a row with none is dropped, since it cannot hold the maximum.
+    a row with none is dropped, since it cannot hold the maximum.  The
+    bisection runs on the dyadic grid t = top * i 2^-steps, top = bound
+    (1 + 1e-9), and returns the midpoint of its last cell.  Each pass
+    counts the live rows at the 2^b - 1 inner grid points of the bracket
+    that b more bisection steps could visit, with b as large as keeps
+    rows x points within ``_SECTION``, and replays those b steps on the
+    counts; so the bracket, like every point counted, is the same whether
+    a row runs alone or in a stack.
     """
     if bound == 0.0:
         return 0.0
-    chains = _sturm_chains_stack(polys)
+    coef, degree = _sturm_chains_stack(polys)
     # Outer counts taken at +-infinity (exact); every real root lies in
     # [-bound, bound], so they count exactly the roots of interest.
-    v_hi = _variations_at_infinity(chains, positive=True)
-    v_lo = _variations_at_infinity(chains, positive=False)
+    v_hi, v_lo = _variations_at_infinity(coef, degree)
     live = v_lo > v_hi
     if not live.any():
         return 0.0
-    # The live rows, coefficient-major; the row-major stack goes before
-    # the loop so that only one copy of the chains stays alive.  (compress
-    # would first copy a transposed view whole.)
-    chains = chains[live]
-    coef = np.ascontiguousarray(chains.transpose(2, 0, 1))
-    del chains
-    v_hi, v_lo = v_hi[live], v_lo[live]
-    lo, hi = 0.0, bound * (1.0 + 1e-9)
-    steps = min(int(np.ceil(np.log2(max(hi / max(tol, 1e-300), 4.0)))) + 2, 200)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        # One call counts every row at +mid and at -mid.
-        above, below = _variations_stack(coef, [[mid], [-mid]])
+    # compress keeps the stack C-contiguous; a boolean index on the last
+    # axis would not.
+    coef, v_hi, v_lo = np.compress(live, coef, axis=2), v_hi[live], v_lo[live]
+    top = bound * (1.0 + 1e-9)
+    steps = min(int(np.ceil(np.log2(max(top / max(tol, 1e-300), 4.0)))) + 2, 200)
+    # The bracket [lo, hi] in grid units top * 2^-steps; hi - lo is a power
+    # of two, and Python integers keep every grid point exact.
+    lo, hi = 0, 1 << steps
+    while hi - lo > 1:
+        rows = coef.shape[2]
+        b = min((hi - lo).bit_length() - 1, max(1, (_SECTION // rows + 1).bit_length() - 1))
+        cell = (hi - lo) >> b
+        grid = lo + cell * np.arange(1, 1 << b, dtype=object)
+        points = top * np.ldexp(grid.astype(float), -steps)
+        # One call counts every row at +t and at -t for every point t.
+        counts = _variations_stack(coef, np.concatenate([points, -points])[:, None])
+        above, below = counts[:points.size], counts[points.size:]
         grow = (above - v_hi) + (v_lo - below) >= 1
-        if grow.any():
-            lo = mid
-            # compress keeps the stack C-contiguous; a boolean index on
-            # axis 1 would not.
-            coef, v_hi, v_lo = np.compress(grow, coef, axis=1), v_hi[grow], v_lo[grow]
-        else:
-            hi = mid
-    return min(0.5 * (lo + hi), bound)
+        # The b bisection steps, on grid points 0 .. 2^b of the bracket.
+        j_lo, j_hi, keep = 0, 1 << b, np.ones(rows, dtype=bool)
+        while j_hi - j_lo > 1:
+            j = (j_lo + j_hi) // 2
+            moved = keep & grow[j - 1]
+            if moved.any():
+                j_lo, keep = j, moved
+            else:
+                j_hi = j
+        lo, hi = lo + j_lo * cell, lo + j_hi * cell
+        if not keep.all():
+            coef, v_hi, v_lo = np.compress(keep, coef, axis=2), v_hi[keep], v_lo[keep]
+    return min(0.5 * (top * math.ldexp(lo, -steps) + top * math.ldexp(hi, -steps)), bound)
 
 
 def rho0(a, tol: float = 1e-12) -> float:

@@ -313,8 +313,7 @@ def expansion_bound(a, t):
 def expansion(a, t):
     """_expanded_systems of A at scale t, flattened to signature order."""
     minors, sizes = an._principal_minors(a)
-    dets, thr = an._expanded_systems(minors, sizes, np.diagonal(a),
-                                     an._off_diagonal_sums(a), t)
+    dets, thr = an._expanded_systems(minors, sizes, an._threshold_rows(a), t)
     return dets.reshape(-1), thr.reshape(-1)
 
 

@@ -232,6 +232,32 @@ class TestAnalyze:
         assert run("analyze", str(path), "--out", str(out)) == 0
         assert read_json(str(out))["det_positive_all_signatures"] is False
 
+    @pytest.mark.parametrize("cls, sizes, seeds", [
+        *[(cls, range(3, 7), range(20, 31))
+          for cls in ("norm_lt_half", "irreducible_half", "sdd_two_thirds", "tridiag_abs_sym")],
+        ("irreducible_half", (8, 10), (20, 22, 24)),
+    ], ids=["norm_lt_half", "irreducible_half", "sdd_two_thirds", "tridiag_abs_sym",
+            "irreducible_half-n8-n10"])
+    def test_radii_agree_on_generated_instances(self, tmp_path, cls, sizes, seeds):
+        # The rule the benchmark's analyze check applies, on generated
+        # instances: zero-diagonal irreducible-half matrices among them
+        # give characteristic polynomials whose Sturm chains drop more
+        # than one degree at a step.
+        for n in sizes:
+            for seed in seeds:
+                problem, _z = pr.random_instance(cls, n, seed)
+                path = write_problem(tmp_path / "p.json", problem)
+                out = tmp_path / "a.json"
+                assert run("analyze", path, "--rho", "both", "--out", str(out)) == 0
+                data = read_json(str(out))
+                norm = float(np.abs(problem.a).sum(axis=1).max())
+                tol = 1e-8 * (1.0 + norm)
+                enum, bisect = data["rho_sr_enum"], data["rho_sr_bisect"]
+                assert abs(enum - bisect) <= tol, (n, seed)
+                assert max(enum, bisect) <= norm + tol, (n, seed)
+                if abs(enum - 1.0) > 1e-6:
+                    assert data["det_positive_all_signatures"] == (enum < 1.0), (n, seed)
+
     def test_dimension_cap_note(self, tmp_path):
         n = 13
         path = tmp_path / "big.json"

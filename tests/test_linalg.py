@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from avekit import analysis as an
 from avekit import linalg as la
+from avekit import problems as pr
 from avekit.errors import DimensionTooLarge, SingularMatrix
 
 from conftest import random_matrix, well_conditioned_matrix, random_signature
@@ -194,8 +196,9 @@ class TestCharPoly:
 
 
 def largest_root(p, bound, tol=1e-10):
-    """max_abs_real_roots of the one-polynomial stack p."""
-    return la.max_abs_real_roots(np.asarray(p, dtype=float)[None], bound, tol)
+    """max_abs_real_roots of the one-polynomial stack p (or of the stack
+    p, given as rows)."""
+    return la.max_abs_real_roots(np.atleast_2d(np.asarray(p, dtype=float)), bound, tol)
 
 
 class TestRealRoots:
@@ -220,7 +223,9 @@ class TestRealRoots:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            la._sturm_chain(np.zeros(3))
+            la._sturm_chains_stack(np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            largest_root([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 2.0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_no_missed_sign_changes(self, seed):
@@ -260,11 +265,22 @@ def _rotation(a):
     return np.array([[0.0, -a], [a, 0.0]])
 
 
+def variations(signs):
+    """Sign variations of a sequence, zeros skipped."""
+    nonzero = [v for v in signs if v != 0.0]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+
+
 def polyval_variations(chain, x):
     """Sign variations of one row's chain (members degree-descending) at x,
     each member evaluated by np.polyval, zeros skipped."""
-    signs = [v for v in np.sign([np.polyval(member, x) for member in chain]) if v != 0.0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations(np.sign([np.polyval(member, x) for member in chain]))
+
+
+def row_chains(coef):
+    """The chains of a ``_sturm_chains_stack`` result row by row, (m, L, w):
+    row i's members, degree-descending."""
+    return coef.transpose(2, 1, 0)
 
 
 class TestVariationsStack:
@@ -277,15 +293,16 @@ class TestVariationsStack:
         for seed in range(6):
             n = 3 + seed % 4
             mats = np.array([random_matrix(1000 * seed + k, n) for k in range(7)])
-            cases.append(la._sturm_chains_stack(la.char_polys_stack(mats)))
-        special = la._sturm_chains_stack(np.array([[2.0, -3.0, 0.0, 1.0], [0.0, -2.0, 1.0, 1.0]]))
-        assert (special[0, 3] == 0.0).all()
-        assert np.polyval(special[0, 1], 1.0) == 0.0 and np.polyval(special[1, 0], 0.0) == 0.0
+            cases.append(la._sturm_chains_stack(la.char_polys_stack(mats))[0])
+        special = la._sturm_chains_stack(np.array([[2.0, -3.0, 0.0, 1.0], [0.0, -2.0, 1.0, 1.0]]))[0]
+        rows = row_chains(special)
+        assert (rows[0, 3] == 0.0).all()
+        assert np.polyval(rows[0, 1], 1.0) == 0.0 and np.polyval(rows[1, 0], 0.0) == 0.0
         cases.append(special)
         g = np.random.default_rng(5)
-        for chains in cases:
+        for coef in cases:
+            chains = row_chains(coef)
             m = chains.shape[0]
-            coef = np.ascontiguousarray(chains.transpose(2, 0, 1))
             points = [1.0, -2.0, 0.0] + list(g.uniform(-2.0, 2.0, size=4))
             for x in points:
                 want = [polyval_variations(chains[i], x) for i in range(m)]
@@ -296,6 +313,116 @@ class TestVariationsStack:
             column = np.array(points)[:, None]
             want = [[polyval_variations(chains[i], x) for i in range(m)] for x in points]
             assert la._variations_stack(coef, column).tolist() == want
+
+
+# The scalar Sturm chain that rows with a degree drop of more than one
+# used to take, kept verbatim as a reference for the stacked chains.
+_POLY_EPS = 5e-13
+
+
+def _poly_trim(coeffs, tol=0.0):
+    keep = np.nonzero(np.abs(coeffs) > tol)[0]
+    if keep.size == 0:
+        return coeffs[:0]
+    return coeffs[: keep[-1] + 1]
+
+
+def _poly_deriv(coeffs):
+    if coeffs.size <= 1:
+        return coeffs[:0]
+    return coeffs[1:] * np.arange(1, coeffs.size)
+
+
+def _poly_rem(u, v):
+    r = np.array(u, dtype=float)
+    dv = v.size - 1
+    lead = v[-1]
+    while r.size - 1 >= dv:
+        q = r[-1] / lead
+        r[-dv - 1:-1] -= q * v[:-1]
+        r = r[:-1]
+        r = _poly_trim(r, _POLY_EPS * max(1.0, float(np.abs(r).max(initial=0.0))))
+    return r
+
+
+def scalar_chain(p):
+    """Sturm chain of one degree-ascending polynomial, a list of
+    degree-ascending members."""
+    p = _poly_trim(np.asarray(p, dtype=float))
+    if p.size == 0:
+        raise ValueError("zero polynomial has no Sturm chain")
+    chain = [p / np.abs(p).max()]
+    if p.size == 1:
+        return chain
+    d = _poly_deriv(chain[0])
+    chain.append(d / np.abs(d).max())
+    while chain[-1].size > 1:
+        r = _poly_rem(chain[-2], chain[-1])
+        r = _poly_trim(r, _POLY_EPS)
+        if r.size == 0:
+            break
+        chain.append(-r / np.abs(r).max())
+    return chain
+
+
+def half_stack(a):
+    """The characteristic polynomials of S A over the signatures with
+    s_0 = +1, the stack rho_sr_enum searches."""
+    signs = an.signature_stack(a.shape[0], fix_first=True)
+    return la.char_polys_stack(signs[:, :, None] * a)
+
+
+REFERENCE_STACKS = {
+    # name: (polynomials, whether some row drops more than one degree)
+    "cube-xcube-quartic": (lambda: np.array([[-0.625**3, 0.0, 0.0, 1.0, 0.0],
+                                             [0.0, -0.625**3, 0.0, 0.0, 1.0],
+                                             [-1.0, 0.0, 0.0, 0.0, 1.0]]), True),
+    "irreducible-half-n10-seed24": (lambda: half_stack(pr.gen_class("irreducible_half", 10, 24)), True),
+    "zero-diagonal-n5": (lambda: half_stack(pr.gen_class("irreducible_half", 5, 25_000)), True),
+    "random-n7": (lambda: half_stack(random_matrix(3, 7)), False),
+}
+
+
+class TestScalarChainReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_STACKS))
+    def test_stack_chains_are_the_scalar_chains(self, name):
+        # Members, degrees and sign-variation counts, at random points and
+        # at +-infinity, row by row against scalar_chain.
+        make, irregular = REFERENCE_STACKS[name]
+        polys = make()
+        coef, degree = la._sturm_chains_stack(polys)
+        w, _, m = coef.shape
+        drops = np.diff(np.where(degree >= 0, degree, 0), axis=0)
+        assert ((drops < -1) & (degree[1:] >= 0)).any() == irregular
+        chains = [scalar_chain(p) for p in polys]
+        rows = row_chains(coef)
+        for i, chain in enumerate(chains):
+            assert [member.size - 1 for member in chain] == [d for d in degree[:, i] if d >= 0]
+            for k, member in enumerate(chain):
+                assert np.array_equal(rows[i, k, w - member.size:], member[::-1])
+        descending = [[member[::-1] for member in chain] for chain in chains]
+        g = np.random.default_rng(24)
+        for x in g.uniform(-1.0, 1.0, size=8):
+            want = [polyval_variations(chain, x) for chain in descending]
+            assert la._variations_stack(coef, x).tolist() == want
+        xs = g.uniform(-1.0, 1.0, size=m)
+        want = [polyval_variations(chain, x) for x, chain in zip(xs, descending)]
+        assert la._variations_stack(coef, xs).tolist() == want
+        plus = [variations([np.sign(c[-1]) for c in chain]) for chain in chains]
+        minus = [variations([np.sign(c[-1]) * (-1) ** (c.size - 1) for c in chain])
+                 for chain in chains]
+        assert la._variations_at_infinity(coef, degree).tolist() == [plus, minus]
+
+
+class TestCountVariations:
+    def test_adjacent_pairs_recount_interior_zeros(self):
+        # Sign sequences with signed zeros anywhere, leading, interior and
+        # trailing, counted along the second-to-last axis.
+        g = np.random.default_rng(9)
+        s = g.choice([-1.0, -0.0, 0.0, 1.0], p=[0.35, 0.1, 0.2, 0.35], size=(3, 9, 400))
+        want = [[variations(s[p, :, i]) for i in range(400)] for p in range(3)]
+        assert la._count_variations(s).tolist() == want
+        assert la._count_variations(s[1]).tolist() == want[1]
 
 
 class TestMaxAbsRealRoots:
@@ -325,33 +452,42 @@ class TestMaxAbsRealRoots:
         simple = np.delete(polys, [1, 2], axis=0)
         assert la.max_abs_real_roots(simple, bound) == max(np.delete(rows, [1, 2]))
 
-    def test_irregular_degree_drops_take_the_scalar_chain(self, monkeypatch):
+    def test_irregular_degree_drops_keep_their_roots(self):
         # x^3 - a^3 (the circulant) and x^4 - 1 (the 4-cycle permutation):
         # the remainder of p by p' is a constant, a degree drop of more
-        # than one, so their stacked chains fall back to _sturm_chain.  The
-        # circulant padded with a zero row and column, x (x^3 - a^3), drops
-        # from degree 3 to 1 and stacks with the permutation.
+        # than one.  The circulant padded with a zero row and column,
+        # x (x^3 - a^3), drops from degree 3 to 1 and stacks with the
+        # permutation.
         a = 0.625
         cycle = np.roll(np.eye(4), 1, axis=0)
         padded = np.pad(CIRCULANT, (0, 1))
-        calls = []
-
-        def counting(p):
-            calls.append(p)
-            return scalar_chain(p)
-
-        scalar_chain = la._sturm_chain
-        monkeypatch.setattr(la, "_sturm_chain", counting)
-        cube = la.max_abs_real_roots(la.char_polys_stack(CIRCULANT[None]), 1.0)
-        assert len(calls) == 1
+        cube_poly = la.char_polys_stack(CIRCULANT[None])
+        cube = la.max_abs_real_roots(cube_poly, 1.0)
         polys = la.char_polys_stack(np.array([padded, cycle]))
         assert polys[1] == pytest.approx([-1.0, 0.0, 0.0, 0.0, 1.0])
         rows = [la.max_abs_real_roots(polys[i:i + 1], 1.0) for i in range(2)]
-        assert len(calls) == 3
         assert la.max_abs_real_roots(polys, 1.0) == max(rows)
-        assert len(calls) == 5
         assert abs(cube - a) <= 1e-10 and abs(rows[0] - a) <= 1e-10
         assert abs(rows[1] - 1.0) <= 1e-10
+        assert la._sturm_chains_stack(cube_poly)[1][:, 0].tolist() == [3, 2, 0, -1]
+        assert la._sturm_chains_stack(polys)[1].T.tolist() == [[4, 3, 1, 0, -1], [4, 3, 0, -1, -1]]
+
+    def test_multisection_schedule_leaves_the_result(self, monkeypatch):
+        # Every pass counts points of the same dyadic grid and replays the
+        # bisection on them, so the pass width changes nothing: plain
+        # bisection (one point per pass) gives the same bits.
+        stacks = [(la.char_polys_stack(np.array([random_matrix(2000 + 10 * n + k, n)
+                                                 for k in range(1 + 5 * (n % 3))])), float(n))
+                  for n in range(2, 9)]
+        stacks.append((la.char_polys_stack(np.array([np.eye(4), np.diag([0.5, -0.2, 0.7, 0.1])])), 1.0))
+        stacks.append((la.char_polys_stack(np.array([np.pad(CIRCULANT, (0, 1)),
+                                                     np.roll(np.eye(4), 1, axis=0)])), 1.0))
+        for tol in (1e-6, 1e-10, 1e-13):
+            results = []
+            for width in (1, 3, 64, 10_000):
+                monkeypatch.setattr(la, "_SECTION", width)
+                results.append([la.max_abs_real_roots(p, bound, tol) for p, bound in stacks])
+            assert all(r == results[0] for r in results)
 
     def test_zero_bound_and_all_complex(self):
         polys = la.char_polys_stack(np.array([_rotation(0.5), _rotation(2.0)]))
