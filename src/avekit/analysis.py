@@ -158,16 +158,22 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     Maximizes the real spectral radius of S*A over all signatures S.  The
     first sign is pinned to +1: S and -S give the same set of |real
     eigenvalue| values, so half the enumeration suffices (verified as a
-    unit test rather than assumed silently).
+    unit test rather than assumed silently).  Raises ValueError when
+    ||A||_inf or a characteristic polynomial coefficient overflows.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "rho_sr_enum")
     signs = signature_stack(n, fix_first=True)
     mats = signs[:, :, None] * a[None, :, :]
-    polys = char_polys_stack(mats)
-    # ||S A||_inf == ||A||_inf for every signature, so one bound serves all.
-    return max_abs_real_roots(polys, infinity_norm(a), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ||S A||_inf == ||A||_inf for every signature, so one bound serves all.
+        norm = infinity_norm(a)
+        polys = char_polys_stack(mats)
+    if not (np.isfinite(norm) and np.isfinite(polys).all()):
+        raise ValueError("rho_sr_enum: ||A||_inf or a characteristic polynomial "
+                         "coefficient of S*A overflows; scale A down")
+    return max_abs_real_roots(polys, norm, tol)
 
 
 def _off_diagonal_sums(a: np.ndarray) -> np.ndarray:
@@ -203,10 +209,29 @@ def signature_systems(a: np.ndarray, scale: float = 1.0):
 
 
 def det_positive_all_signatures(a) -> bool:
-    """True iff det(I - AS) clears the singularity threshold for all S."""
+    """True iff LAPACK's det(I - AS) clears the singularity threshold of
+    ``signature_systems(a)`` for all S.
+
+    The determinants are read off the principal minors of A by the minor
+    expansion at t = 1 (``_expanded_systems``), which lies within
+    e = 16 n eps prod_i (1 + r_i) of LAPACK's, r_i the row sums of |A|.
+    A determinant below its threshold by more than e settles False, all of
+    them above by more than e settle True; otherwise, and wherever a value
+    is not finite, the verdict is that of the LAPACK sweep over
+    ``signature_systems(a)``."""
     a = as_square_matrix(a)
-    _check_enum_dim(a.shape[0], "det_positive_all_signatures")
-    _mats, dets, thr = signature_systems(a)
+    n = a.shape[0]
+    _check_enum_dim(n, "det_positive_all_signatures")
+    minors, sizes = _principal_minors(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets, thr = _expanded_systems(minors, sizes, _threshold_rows(a), 1.0)
+        slack = 16 * n * np.finfo(float).eps * np.prod(1.0 + np.abs(a).sum(axis=1))
+        if np.isfinite(slack) and np.isfinite(dets).all():
+            if (dets < thr - slack).any():
+                return False
+            if (dets > thr + slack).all():
+                return True
+        _mats, dets, thr = signature_systems(a)
     return bool((dets > thr).all())
 
 
@@ -220,13 +245,46 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _principal_blocks(n: int):
+    """|J| for every subset J of range(n) in ``signature_stack(n)`` order
+    (i in J iff s_i = -1), and for each block size k = 1..n the positions
+    of the subsets with |J| = k and the row and column indices that
+    gather their blocks A_JJ as one (positions, k, k) stack; cached,
+    sizes read-only."""
+    inside = signature_stack(n) < 0
+    sizes = inside.sum(axis=1)
+    groups = []
+    for k in range(1, n + 1):
+        rows = np.flatnonzero(sizes == k)
+        members = inside[rows].nonzero()[1].reshape(len(rows), k)
+        groups.append((rows, members[:, :, None], members[:, None, :]))
+    sizes.setflags(write=False)
+    return sizes, tuple(groups)
+
+
 def _principal_minors(a: np.ndarray):
-    """det(A_JJ) and |J| for every subset J of the indices, J in
-    ``signature_stack(n)`` order (i in J iff s_i = -1) and det of the
-    empty block 1: one LAPACK det over the stack where(J x J, A, I)."""
-    inside = signature_stack(a.shape[0]) < 0
-    stack = np.where(inside[:, :, None] & inside[:, None, :], a, np.eye(a.shape[0]))
-    return np.linalg.det(stack), inside.sum(axis=1)
+    """det(A_JJ) and |J| for every subset J of the indices, in
+    ``signature_stack(n)`` order, with det of the empty block 1: one
+    LAPACK det call per block size k over the gathered k x k blocks, so
+    each minor is exactly ``np.linalg.det(a[np.ix_(J, J)])``.  The last
+    matrix's minors are kept, so the callers on one matrix compute them
+    once; read-only.  A minor overflows to inf or nan once ||A||_inf^|J|
+    passes the float range; callers check."""
+    return _minors_of(a.shape[0], a.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _minors_of(n: int, data: bytes):
+    """``_principal_minors`` of the row-major bytes of an n x n matrix."""
+    a = np.frombuffer(data).reshape(n, n)
+    sizes, groups = _principal_blocks(n)
+    minors = np.ones(len(sizes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, r, c in groups:
+            minors[rows] = np.linalg.det(a[r, c])
+    minors.setflags(write=False)
+    return minors, sizes
 
 
 def _threshold_rows(a: np.ndarray):
@@ -254,9 +312,11 @@ def _expanded_systems(minors, sizes, rows, t: float):
     det(I - (A/t)S) = sum_J (-1/t)^|J| det(A_JJ) prod_{j in J} s_j and
     prod_{j in J} s_j = (-1)^popcount(S & J), so the determinants are one
     Walsh-Hadamard transform of c_J = (-1/t)^|J| det(A_JJ), applied as
-    H_hi C H_lo with C = c split into its high and low index bits.  No
-    term overflows: |c_J| <= (||A||_inf / t)^|J|, below 1e14^12 = 1e168
-    at t >= ``pivot_threshold(a)`` and n <= 12.  A threshold's max over
+    H_hi C H_lo with C = c split into its high and low index bits.  Given
+    finite minors no term overflows: |c_J| <= (||A||_inf / t)^|J|, below
+    1e14^12 = 1e168 at t >= ``pivot_threshold(a)`` and n <= 12.  That
+    bounds c_J, not det(A_JJ): a minor itself overflows once
+    ||A||_inf^|J| passes the float range.  A threshold's max over
     the rows of I - (A/t)S splits into a max over the low rows, set by
     the low bits of S alone, and one over the high rows."""
     signed_diag, off, halves = rows
@@ -283,20 +343,27 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
 
     Admissibility is tested on the principal-minor expansion of
     det(I - (A/t)S) (``_expanded_systems``), not on an LU of each matrix:
-    the 2^n minors det(A_JJ) come from one LAPACK det call, and each
-    test at a new t is one Walsh-Hadamard transform of them, against the
+    the 2^n minors det(A_JJ) come from ``_principal_minors``, one LAPACK
+    det call per block size and shared with
+    ``det_positive_all_signatures`` on the same matrix, and each test at
+    a new t is one Walsh-Hadamard transform of them, against the
     thresholds ``signature_systems`` would use.  Returns the midpoint of
     the final bracket, of width <= tol, or <= 4 ulp(hi) where that is
-    wider, after ceil(log2((hi - lo) / tol)) bisection steps.
+    wider, after ceil(log2((hi - lo) / tol)) bisection steps.  Raises
+    ValueError when ||A||_inf or a minor overflows.
     Independent of the enumeration route.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "rho_sr_bisect")
-    norm = infinity_norm(a)
+    with np.errstate(over="ignore"):
+        norm = infinity_norm(a)
     if norm == 0.0:
         return 0.0
     minors, sizes = _principal_minors(a)
+    if not (np.isfinite(norm) and np.isfinite(minors).all()):
+        raise ValueError("rho_sr_bisect: ||A||_inf or a principal minor of A "
+                         "overflows; scale A down")
     rows = _threshold_rows(a)
 
     def admissible(t: float) -> bool:

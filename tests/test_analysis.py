@@ -194,7 +194,7 @@ class TestRhoSrBisect:
         # and the one expansion sweep there covers all 256 of them.
         assert an.rho_sr_bisect(np.triu(random_matrix(8, 8), 1)) == 0.0
         assert sweeps == [True]
-        assert det_calls == [1]
+        assert det_calls == [8]
         # Here only signatures with s_7 = -1, the second half of the stack,
         # fail at lo: rho^R is 0.5, not 0.
         a = np.diag([0.0] * 7 + [-0.5])
@@ -204,11 +204,11 @@ class TestRhoSrBisect:
         assert sweeps[1] is False
 
     def test_check_at_lo_is_the_whole_sweep_at_small_n(self, sweeps, det_calls):
-        # One LAPACK det call for the minors and one expansion sweep at lo
-        # settle rho^R = 0.
+        # One LAPACK det call per block size for the minors and one
+        # expansion sweep at lo settle rho^R = 0.
         assert an.rho_sr_bisect(np.triu(random_matrix(4, 4), 1)) == 0.0
         assert sweeps == [True]
-        assert det_calls == [1]
+        assert det_calls == [4]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_layout_of_the_input_does_not_matter(self, seed):
@@ -232,7 +232,7 @@ class TestRhoSrBisect:
         # band; the bracket must not creep up from there in 1 + tol steps.
         a = pr.inflated_identity(0.1, 3)
         r = an.rho_sr_bisect(a, tol=1e-10)
-        assert det_calls == [1]
+        assert det_calls == [3]
         assert len(sweeps) <= plain_bisection(a, 1e-10)[1] <= 64
         # det(I - (1.1/t) I) = (1 - 1.1/t)^3 must clear ~2e-14 for t to count.
         eps = np.finfo(float).eps
@@ -282,7 +282,9 @@ def sweeps(monkeypatch):
 
 @pytest.fixture
 def det_calls(monkeypatch):
-    """The number of np.linalg.det calls made by each rho_sr_bisect call."""
+    """The number of np.linalg.det calls made by each rho_sr_bisect call,
+    starting from an empty minors cache."""
+    an._minors_of.cache_clear()
     log = []
     det, bisect = np.linalg.det, an.rho_sr_bisect
 
@@ -298,6 +300,21 @@ def det_calls(monkeypatch):
 
     monkeypatch.setattr(an, "rho_sr_bisect", counting_bisect)
     return log
+
+
+def count_det_calls(monkeypatch):
+    """A list whose one entry counts np.linalg.det calls, from an empty
+    minors cache."""
+    an._minors_of.cache_clear()
+    calls = [0]
+    det = np.linalg.det
+
+    def counting_det(*args, **kwargs):
+        calls[0] += 1
+        return det(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    return calls
 
 
 def expansion_bound(a, t):
@@ -347,13 +364,43 @@ class TestMinorExpansion:
         assert np.array_equal(an._hadamard(k), 1.0 - 2.0 * parity)
 
     def test_minors_are_the_principal_blocks(self):
-        a = random_matrix(600, 5)
+        # Each minor is LAPACK's det of its block bit for bit, with no
+        # identity padding, for every subset J at n = 1..12.
+        g = np.random.default_rng(600)
+        for n in range(1, 13):
+            a = g.uniform(-1.0, 1.0, (n, n))
+            a[g.random((n, n)) < 0.3] = 0.0
+            minors, sizes = an._principal_minors(a)
+            for j, inside in enumerate(an.signature_stack(n) < 0):
+                assert sizes[j] == inside.sum()
+                want = np.linalg.det(a[np.ix_(inside, inside)]) if inside.any() else 1.0
+                assert minors[j].tobytes() == np.float64(want).tobytes(), (n, j)
+
+    def test_repeat_call_on_the_same_bytes_makes_no_det_call(self, monkeypatch):
+        # analyze --rho both computes the minors once: rho_sr_bisect, then
+        # det_positive_all_signatures on the same entries in another layout.
+        calls = count_det_calls(monkeypatch)
+        a = random_matrix(601, 7)
         minors, sizes = an._principal_minors(a)
-        for j, inside in enumerate(an.signature_stack(5) < 0):
-            block = a[np.ix_(inside, inside)]
-            assert sizes[j] == inside.sum()
-            assert minors[j] == pytest.approx(np.linalg.det(block) if inside.any() else 1.0,
-                                              rel=1e-12, abs=1e-15)
+        assert calls == [7]
+        assert not minors.flags.writeable and not sizes.flags.writeable
+        an.rho_sr_bisect(a, tol=1e-10)
+        an.det_positive_all_signatures(np.asfortranarray(a))
+        again, _sizes = an._principal_minors(a.copy())
+        assert calls == [7]
+        assert again is minors
+
+    def test_changed_entry_recomputes_the_minors(self, monkeypatch):
+        calls = count_det_calls(monkeypatch)
+        a = random_matrix(602, 6)
+        minors, _sizes = an._principal_minors(a)
+        b = a.copy()
+        b[5, 5] += 0.5
+        changed, _sizes = an._principal_minors(b)
+        assert calls == [12]
+        # Exactly the minors whose block holds entry (5, 5) change.
+        holds = an.signature_stack(6)[:, 5] < 0
+        assert np.array_equal(changed != minors, holds)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_lapack_dets_and_thresholds(self, n):
@@ -406,7 +453,7 @@ class TestCriticalSignatureSearch:
             estimate = an.rho_sr_bisect(a, tol=tol)
             assert len(sweeps) <= bisection_sweeps
             assert abs(estimate - reference) <= tol
-        assert det_calls == [1] * 200
+        assert det_calls == [2 + i % 5 for i in range(200)]
 
     @pytest.mark.parametrize("cls, nu", [
         ("norm_lt_half", None), ("irreducible_half", None), ("sdd_two_thirds", None),
@@ -415,12 +462,13 @@ class TestCriticalSignatureSearch:
     ])
     def test_analyze_rho_n12_takes_at_most_12_sweeps(self, sweeps, det_calls, cls, nu):
         # The n = 12 instances of the analyze-rho benchmark at seed 21: one
-        # LAPACK det call, then no more expansion sweeps than plain
-        # bisection makes from [lo, ||A||_inf] or [||A||_inf, 2||A||_inf].
+        # LAPACK det call per block size, then no more expansion sweeps
+        # than plain bisection makes from [lo, ||A||_inf] or
+        # [||A||_inf, 2||A||_inf].
         problem, _z = pr.random_instance(cls, 12, 21, nu=nu)
         tol = 1e-10
         estimate = an.rho_sr_bisect(problem.a, tol=tol)
-        assert det_calls == [1]
+        assert det_calls == [12]
         norm = la.infinity_norm(problem.a)
         assert len(sweeps) <= 2 + math.ceil(math.log2(norm / tol))
         assert abs(estimate - an.rho_sr_enum(problem.a, tol=1e-10)) <= 2e-10
@@ -460,6 +508,14 @@ class TestCriticalSignatureSearch:
         assert abs(an.rho_sr_enum(a, tol=1e-10) - an.rho_sr_bisect(a, tol=tol)) <= 2 * tol
 
 
+def lapack_verdict(a):
+    """Whether every LAPACK det of ``signature_systems(a)`` clears its
+    threshold; quiet where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _mats, dets, thr = an.signature_systems(a)
+    return bool((dets > thr).all())
+
+
 class TestDetPositivity:
     def test_norm_below_one(self):
         assert an.det_positive_all_signatures(random_matrix(5, 4, norm=0.9))
@@ -478,6 +534,97 @@ class TestDetPositivity:
         if abs(r - 1.0) < 1e-7:
             pytest.skip("too close to the threshold")
         assert an.det_positive_all_signatures(a) == (r < 1.0)
+
+    def test_verdict_is_lapacks(self):
+        # Random matrices with 30 % zeros and 10 triu(U, 1) + 1e-6 U, scaled
+        # to rho^R in {0.5, 1 -+ 1e-9, 1 -+ 1e-12, 1, 2} and by 1e30 to
+        # 1e300 (overflowing minors and slack): the verdict is that of the
+        # LAPACK sweep.
+        factors = (0.5, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9, 2.0)
+        # Fewer matrices at large n, where each LAPACK sweep costs more.
+        bases = [18] * 6 + [12, 12, 5, 5, 3, 2]
+        g = np.random.default_rng(800)
+        checked = 0
+        for n in range(1, 13):
+            for _ in range(bases[n - 1]):
+                zeros = g.uniform(-1.0, 1.0, (n, n))
+                zeros[g.random((n, n)) < 0.3] = 0.0
+                u = g.uniform(-1.0, 1.0, (n, n))
+                for a in (zeros, 10.0 * np.triu(u, 1) + 1e-6 * u):
+                    rho = an.rho_sr_bisect(a, tol=1e-13)
+                    scaled = [a * (f / rho) for f in factors] if rho > 0.0 else [a]
+                    for b in scaled + [a * 10.0 ** k for k in (30, 100, 200, 300)]:
+                        assert an.det_positive_all_signatures(b) == lapack_verdict(b), (n, b)
+                        checked += 1
+        assert checked >= 3000
+
+    @pytest.mark.parametrize("n, seed, rho, lapack", [
+        (3, 3069, "0x1.99d399c0bedc2p-1", False),
+        (4, 4256, "0x1.e8177beaec47ep-1", True),
+    ])
+    def test_slack_keeps_lapacks_verdict_where_the_expansion_flips(self, n, seed, rho, lapack):
+        # A with 30 % zeros scaled to rho_sr_bisect(A, 1e-13): some det sits
+        # within rounding of its threshold, and the expansion alone, with
+        # no slack, gives the other verdict.
+        g = np.random.default_rng(seed)
+        a = g.uniform(-1.0, 1.0, (n, n))
+        a[g.random((n, n)) < 0.3] = 0.0
+        a /= float.fromhex(rho)
+        assert lapack_verdict(a) == lapack
+        minors, sizes = an._principal_minors(a)
+        expanded, expanded_thr = an._expanded_systems(minors, sizes, an._threshold_rows(a), 1.0)
+        assert (expanded > expanded_thr).all() != lapack, "no longer a flip on this BLAS"
+        assert an.det_positive_all_signatures(a) == lapack
+
+    def test_analyze_rho_instances_need_no_lapack_sweep(self, monkeypatch):
+        # The analyze-rho benchmark's matrices at seed 21 are all settled by
+        # the expansion and its slack.
+        calls = []
+        sweep = an.signature_systems
+        monkeypatch.setattr(an, "signature_systems",
+                            lambda *args, **kw: calls.append(1) or sweep(*args, **kw))
+        matrices = [pr.inflated_identity(0.1, 3)]
+        for n in (8, 10, 12):
+            for cls, nu in [("norm_lt_half", None), ("irreducible_half", None),
+                            ("sdd_two_thirds", None), ("tridiag_abs_sym", None),
+                            ("unconstrained", 0.9), ("unconstrained", 1.5),
+                            ("unconstrained", 4.0)]:
+                matrices.append(pr.random_instance(cls, n, 21, nu=nu)[0].a)
+        verdicts = [an.det_positive_all_signatures(a) for a in matrices]
+        assert calls == []
+        assert verdicts == [rho < 1.0 for rho in map(an.rho_sr_enum, matrices)]
+
+
+class TestOverflow:
+    B = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))  # rho^R = 3.29
+
+    def test_overflowing_coefficients_and_minors_raise(self):
+        # At 1e30 B the char polys and the 12 x 12 minors overflow: both
+        # radii used to come out wrong (0.0 and 2 ||A||_inf) without error.
+        a = 1e30 * self.B
+        with pytest.raises(ValueError, match="rho_sr_enum"):
+            an.rho_sr_enum(a)
+        with pytest.raises(ValueError, match="rho_sr_bisect"):
+            an.rho_sr_bisect(a)
+        assert an.det_positive_all_signatures(a) == lapack_verdict(a)
+
+    def test_overflowing_norm_raises(self):
+        # Finite entries whose row sum overflows; the minors stay finite.
+        a = np.array([[1e308, 1e308], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="rho_sr_enum"):
+            an.rho_sr_enum(a)
+        with pytest.raises(ValueError, match="rho_sr_bisect"):
+            an.rho_sr_bisect(a)
+
+    def test_large_finite_scale_is_unchanged(self):
+        # At 1e20 B nothing overflows: the enumeration is its unchecked
+        # pipeline bit for bit, and bisection scales with A.
+        a = 1e20 * self.B
+        mats = an.signature_stack(12, fix_first=True)[:, :, None] * a
+        unchecked = la.max_abs_real_roots(la.char_polys_stack(mats), la.infinity_norm(a), 1e-10)
+        assert an.rho_sr_enum(a) == unchecked
+        assert an.rho_sr_bisect(a, tol=1e10) == pytest.approx(
+            1e20 * an.rho_sr_bisect(self.B, tol=1e-12), rel=1e-11)
 
 
 class TestInverseSdd:

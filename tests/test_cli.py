@@ -232,6 +232,23 @@ class TestAnalyze:
         assert run("analyze", str(path), "--out", str(out)) == 0
         assert read_json(str(out))["det_positive_all_signatures"] is False
 
+    # The norm of the 1e308 matrix overflows in condition_profile first,
+    # which numpy reports as a RuntimeWarning.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e30, 1e308])
+    @pytest.mark.parametrize("rho", ["enum", "bisect", "both"])
+    def test_overflowing_radii_are_an_error(self, tmp_path, capsys, scale, rho):
+        # Overflowing char polys or minors once gave 0.0 or 2 ||A||_inf,
+        # and at 1e308 an invalid JSON Infinity, with exit 0.
+        b = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))
+        a = scale * b if scale < 1e300 else scale * np.sign(b)
+        path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(12)))
+        assert run("analyze", path, "--rho", rho) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "overflows" in errors[0]
+
     @pytest.mark.parametrize("cls, sizes, seeds", [
         *[(cls, range(3, 7), range(20, 31))
           for cls in ("norm_lt_half", "irreducible_half", "sdd_two_thirds", "tridiag_abs_sym")],
