@@ -28,7 +28,6 @@ from .linalg import (
     lu_factor,
     lu_solve,
     one_norm,
-    rho0,
 )
 from .newton import NewtonTrace, newton_solve
 from .oracle import OracleResult, enumerate_solutions, unique_solution
@@ -86,7 +85,6 @@ __all__ = [
     "one_norm",
     "random_instance",
     "residual",
-    "rho0",
     "rho_sr_bisect",
     "rho_sr_enum",
     "sge_solve",

@@ -176,24 +176,10 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     return max_abs_real_roots(polys, norm, tol)
 
 
-def _off_diagonal_sums(a: np.ndarray) -> np.ndarray:
-    """off_i = sum_{j != i} |a_ij|, summed in row-major order whatever
-    the layout of ``a``."""
-    off = np.abs(a, order="C")
-    off.reshape(-1)[::len(off) + 1] = 0.0
-    return off.sum(axis=1)
-
-
 def signature_systems(a: np.ndarray, scale: float = 1.0):
     """The stack I - (A/scale)S over all signatures S (in
     ``signature_stack(n)`` order), its determinants and each matrix's
-    singularity threshold.
-
-    Row i of I - (A/t)S has absolute sum |1 - a_ii s_i / t| + off_i / t,
-    where off_i = sum_{j != i} |a_ij|, so the threshold
-    ``1e-14 * (1 + max_i (|1 - a_ii s_i / t| + off_i / t))`` is read off
-    the diagonals.  It equals ``pivot_threshold`` of the matrix up to
-    rounding."""
+    singularity threshold, the one rule of ``_signature_thresholds``."""
     signs = signature_stack(a.shape[0])
     m, n = signs.shape
     # Row-major whatever the layout of a, so that the reshape below is a
@@ -201,11 +187,9 @@ def signature_systems(a: np.ndarray, scale: float = 1.0):
     mats = np.multiply(a / scale, signs[:, None, :], order="C")
     # 0 - x rather than -x keeps zero entries +0, as in I - x.
     np.subtract(0.0, mats, out=mats)
-    diag = mats.reshape(m, n * n)[:, ::n + 1]
-    diag += 1.0
-    rows = np.abs(diag)
-    rows += _off_diagonal_sums(a) / scale
-    return mats, np.linalg.det(mats), threshold_of_norms(rows.max(axis=1))
+    mats.reshape(m, n * n)[:, ::n + 1] += 1.0
+    thr = _signature_thresholds(_threshold_rows(a), scale).reshape(m)
+    return mats, np.linalg.det(mats), thr
 
 
 def det_positive_all_signatures(a) -> bool:
@@ -288,23 +272,46 @@ def _minors_of(n: int, data: bytes):
 
 
 def _threshold_rows(a: np.ndarray):
-    """What the thresholds of ``_expanded_systems`` read of A, fixed for a
-    whole search: -a_ii then a_ii, the off-diagonal sums off_i (from
-    ``_off_diagonal_sums``) twice, and for the high and the low half of
-    the indices (i >= n//2, i < n//2) a ``signature_stack`` of the half
-    as positions into those 2n entries: i at s_i = +1, n + i at
-    s_i = -1."""
+    """What ``_signature_thresholds`` reads of A, fixed for a whole
+    search: -a_ii then a_ii, the off-diagonal sums off_i = sum_{j != i}
+    |a_ij| (summed in row-major order whatever the layout of ``a``)
+    twice, and for the high and the low half of the indices
+    (i >= n//2, i < n//2) a ``signature_stack`` of the half as positions
+    into those 2n entries: i at s_i = +1, n + i at s_i = -1."""
     n = a.shape[0]
     low = n // 2
-    diag, off = np.diagonal(a), _off_diagonal_sums(a)
+    off = np.abs(a, order="C")
+    off.reshape(-1)[::n + 1] = 0.0
+    off = off.sum(axis=1)
+    diag = np.diagonal(a)
     halves = tuple(np.where(signature_stack(k) < 0, n, 0) + np.arange(first, first + k)
                    for k, first in ((n - low, low), (low, 0)))
     return np.concatenate([-diag, diag]), np.concatenate([off, off]), halves
 
 
+def _signature_thresholds(rows, t: float):
+    """The singularity threshold of I - (A/t)S for every signature S,
+    shaped (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order;
+    ``rows`` is ``_threshold_rows(a)``.  The one rule of the signature
+    layer: a system counts as singular when its determinant is at most
+    ``threshold_of_norms(||I - (A/t)S||_inf)``.
+
+    Row i of I - (A/t)S has absolute sum |1 - a_ii s_i / t| + off_i / t,
+    so the norm is read off the diagonals, and its max over the rows
+    splits into a max over the low rows, set by the low bits of S alone,
+    and one over the high rows.  It equals ``pivot_threshold`` of the
+    matrix up to rounding."""
+    signed_diag, off, halves = rows
+    # 1 + (-a_ii / t) is 1 - x and 1 + a_ii / t is x + 1, bit for bit as
+    # on the diagonal of I - (A/t)S.
+    norms = np.abs(1.0 + signed_diag / t) + off / t
+    hi_max, lo_max = [norms[half].max(axis=1, initial=0.0) for half in halves]
+    return threshold_of_norms(np.maximum.outer(hi_max, lo_max))
+
+
 def _expanded_systems(minors, sizes, rows, t: float):
     """det(I - (A/t)S) over all signatures S by the minor expansion, and
-    bitwise the thresholds of ``signature_systems(a, t)``, both shaped
+    ``_signature_thresholds(rows, t)``, both shaped
     (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order.
     ``minors, sizes`` are ``_principal_minors(a)`` and ``rows`` is
     ``_threshold_rows(a)``.
@@ -316,19 +323,12 @@ def _expanded_systems(minors, sizes, rows, t: float):
     finite minors no term overflows: |c_J| <= (||A||_inf / t)^|J|, below
     1e14^12 = 1e168 at t >= ``pivot_threshold(a)`` and n <= 12.  That
     bounds c_J, not det(A_JJ): a minor itself overflows once
-    ||A||_inf^|J| passes the float range.  A threshold's max over
-    the rows of I - (A/t)S splits into a max over the low rows, set by
-    the low bits of S alone, and one over the high rows."""
-    signed_diag, off, halves = rows
-    n = len(off) // 2
+    ||A||_inf^|J| passes the float range."""
+    n = len(rows[1]) // 2
     low = n // 2
     c = minors * np.power(-1.0 / t, np.arange(n + 1))[sizes]
     dets = _hadamard(n - low) @ c.reshape(1 << (n - low), 1 << low) @ _hadamard(low)
-    # |1 - a_ii s_i / t| + off_i / t rounded as in signature_systems:
-    # 1 + (-a_ii / t) is 1 - x and 1 + a_ii / t is x + 1, bit for bit.
-    norms = np.abs(1.0 + signed_diag / t) + off / t
-    hi_max, lo_max = [norms[half].max(axis=1, initial=0.0) for half in halves]
-    return dets, threshold_of_norms(np.maximum.outer(hi_max, lo_max))
+    return dets, _signature_thresholds(rows, t)
 
 
 def rho_sr_bisect(a, tol: float = 1e-8) -> float:
@@ -346,10 +346,10 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     the 2^n minors det(A_JJ) come from ``_principal_minors``, one LAPACK
     det call per block size and shared with
     ``det_positive_all_signatures`` on the same matrix, and each test at
-    a new t is one Walsh-Hadamard transform of them, against the
-    thresholds ``signature_systems`` would use.  Returns the midpoint of
-    the final bracket, of width <= tol, or <= 4 ulp(hi) where that is
-    wider, after ceil(log2((hi - lo) / tol)) bisection steps.  Raises
+    a new t is one Walsh-Hadamard transform of them, against
+    ``_signature_thresholds``.  Returns the midpoint of the final
+    bracket, of width <= tol, or <= 4 ulp(hi) where that is wider, after
+    ceil(log2((hi - lo) / tol)) bisection steps.  Raises
     ValueError when ||A||_inf or a minor overflows.
     Independent of the enumeration route.
     """

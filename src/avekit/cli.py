@@ -35,6 +35,7 @@ import numpy as np
 
 from . import analysis, oracle, problems, sge
 from .errors import AvekitError, DimensionTooLarge, NotUnique
+from .linalg import infinity_norm
 from .newton import newton_solve
 from .problems import AveProblem, residual
 from .report import SolveReport, Status
@@ -150,7 +151,9 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
     with the ``json`` module's own scanner, and each row of ``A`` becomes
     a float array as soon as it is scanned, so a dense ``A`` is never a
     nested list of Python floats.  Any unreadable, invalid or
-    inconsistent file raises ``CliError`` naming the path and the field.
+    inconsistent file raises ``CliError`` naming the path and the field,
+    and so does an ``A`` whose ||A||_inf overflows, on which every
+    command would print non-finite numbers.
     """
     try:
         with open(path) as handle:
@@ -173,6 +176,10 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
     a = _numeric_field(path, data, "A")
     if a.shape != (n, n):
         raise CliError(f"{path}: field 'A' must be {n}x{n}, got shape {a.shape}")
+    with np.errstate(over="ignore"):
+        norm = infinity_norm(a)
+    if not math.isfinite(norm):
+        raise CliError(f"{path}: field 'A' has a row whose absolute sum overflows")
     b = _numeric_field(path, data, "b")
     if b.shape != (n,):
         raise CliError(f"{path}: field 'b' must have length {n}, got shape {b.shape}")

@@ -1,11 +1,13 @@
 """Dense linear algebra kernels.
 
-Norms, LU factorization with partial pivoting, characteristic
-polynomials (Faddeev-LeVerrier) and the largest |real root| by Sturm
-sequences.  ``catch_up_column``, ``elimination_step`` and
-``back_substitute`` are the one Gaussian elimination, a left-looking
-(Crout) LU in panels of ``_PANEL`` columns: ``lu_factor`` pivots it by
-rows, signed Gaussian elimination by symmetric swaps on ``I - A S``.
+Norms, the singularity threshold ``1e-14 * (1 + ||M||_inf)`` every
+pivot and signature system is held to (``threshold_of_norms``), LU
+factorization with partial pivoting, characteristic polynomials
+(Faddeev-LeVerrier) and the largest |real root| by Sturm sequences.
+``catch_up_column``, ``elimination_step`` and ``back_substitute`` are
+the one Gaussian elimination, a left-looking (Crout) LU in panels of
+``_PANEL`` columns: ``lu_factor`` pivots it by rows, signed Gaussian
+elimination by symmetric swaps on ``I - A S``.
 Both eliminate columns 0, 1, ..., n-1 in that order and the panel is
 flushed exactly when it fills, so the open panel of column k always
 starts at ``k - k % _PANEL``; the kernel derives it and callers keep no
@@ -13,7 +15,10 @@ panel state.
 ``max_abs_real_roots`` brackets only the largest |root| over a stack of
 polynomials by Sturm sign-variation counts: every chain is built on the
 stack, any degree drop included, and the bisection runs on an exact
-dyadic grid, several grid levels per pass once few rows are left.
+dyadic grid, several grid levels per pass once few rows are left.  The
+real spectral radius of one matrix is
+``max_abs_real_roots(char_polys_stack(a[None]), infinity_norm(a), tol)``;
+``analysis.rho_sr_enum`` runs it over the stack of all S A.
 Everything operates on plain float64 numpy arrays: matrices
 are row-major ``(n, n)``, vectors ``(n,)``, all entries finite.
 
@@ -77,12 +82,10 @@ def one_norm(a) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def pivot_threshold(a):
+def pivot_threshold(a) -> float:
     """Scaled absolute threshold ``1e-14 * (1 + ||a||_inf)`` below which a
-    pivot counts as zero; a float for one matrix, an array for a stack."""
-    a = np.asarray(a, dtype=float)
-    norms = np.abs(a).sum(axis=-1).max(axis=-1)
-    return threshold_of_norms(float(norms) if norms.ndim == 0 else norms)
+    pivot of the matrix ``a`` counts as zero."""
+    return threshold_of_norms(infinity_norm(a))
 
 
 def threshold_of_norms(norms):
@@ -221,7 +224,7 @@ def char_polys_stack(mats: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched Sturm machinery for the largest-magnitude real root.  This backs
-# rho0 and the exponential signature enumerations, where thousands of
+# the exponential signature enumeration of rho_sr_enum, where thousands of
 # polynomials of the same degree are processed at once.  The chains are
 # kept coefficient-major, rows last, so that every per-row step, reduction
 # and count runs over contiguous rows.
@@ -455,17 +458,3 @@ def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> f
         if not keep.all():
             coef, v_hi, v_lo = np.compress(keep, coef, axis=2), v_hi[keep], v_lo[keep]
     return min(0.5 * (top * math.ldexp(lo, -steps) + top * math.ldexp(hi, -steps)), bound)
-
-
-def rho0(a, tol: float = 1e-12) -> float:
-    """Real spectral radius: max |lambda| over real eigenvalues, 0 if none.
-
-    ``max_abs_real_roots`` on the one-row stack of the characteristic
-    polynomial, bounded by ||A||_inf.  Simple eigenvalues are located to
-    ``tol``; an eigenvalue of multiplicity m carries the usual
-    polynomial-evaluation blur of roughly eps^(1/m), which is inherent to
-    the characteristic-polynomial route.
-    """
-    a = as_square_matrix(a)
-    polys = char_polys_stack(a[None, :, :])
-    return max_abs_real_roots(polys, infinity_norm(a), tol)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import MAX_ENUM_DIM, signature_stack, signature_systems
-from .errors import DimensionTooLarge, NotUnique
+from .analysis import _check_enum_dim, signature_stack, signature_systems
+from .errors import NotUnique
 from .problems import AveProblem, residual
 
 
@@ -38,8 +38,7 @@ class OracleResult:
 def enumerate_solutions(problem: AveProblem) -> OracleResult:
     """Find all solutions of z - A|z| = b by checking every orthant."""
     n = problem.n
-    if n > MAX_ENUM_DIM:
-        raise DimensionTooLarge(f"oracle enumeration capped at n <= {MAX_ENUM_DIM}")
+    _check_enum_dim(n, "oracle enumeration")
     signs = signature_stack(n, fix_first=False)
     mats, dets, thresholds = signature_systems(problem.a)
     singular = np.abs(dets) <= thresholds

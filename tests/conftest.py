@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from avekit import linalg as la
+
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -28,3 +30,10 @@ def well_conditioned_matrix(seed: int, n: int) -> np.ndarray:
 
 def random_signature(seed: int, n: int) -> np.ndarray:
     return rng(seed).choice([-1.0, 1.0], size=n)
+
+
+def real_radius(a: np.ndarray, tol: float = 1e-12) -> float:
+    """Real spectral radius of one matrix, max |lambda| over its real
+    eigenvalues (0 if none): the Sturm root search of ``rho_sr_enum`` on
+    the one-row stack of its characteristic polynomial."""
+    return la.max_abs_real_roots(la.char_polys_stack(a[None]), la.infinity_norm(a), tol)

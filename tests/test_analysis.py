@@ -10,7 +10,7 @@ from avekit import linalg as la
 from avekit import problems as pr
 from avekit.errors import DimensionTooLarge
 
-from conftest import random_matrix, random_signature
+from conftest import random_matrix, real_radius, random_signature
 
 CIRCULANT = np.array([[0.0, 0.0, 0.625], [0.625, 0.0, 0.0], [0.0, 0.625, 0.0]])
 TRAP_MATRIX = np.array([[0.005, 0.505], [0.0, 0.5]])
@@ -146,11 +146,11 @@ class TestRhoSrEnum:
     @pytest.mark.parametrize("seed", range(10))
     def test_half_enumeration_matches_full(self, seed):
         # The implementation pins the first sign; check against the full
-        # enumeration done with public rho0 calls.
+        # enumeration, one real spectral radius per signature.
         n = 4
         a = random_matrix(seed + 40, n, norm=0.9)
         full = max(
-            la.rho0(s[:, None] * a) for s in an.signature_stack(n, fix_first=False)
+            real_radius(s[:, None] * a) for s in an.signature_stack(n, fix_first=False)
         )
         assert an.rho_sr_enum(a) == pytest.approx(full, abs=1e-9)
 
@@ -237,6 +237,45 @@ class TestRhoSrBisect:
         # det(I - (1.1/t) I) = (1 - 1.1/t)^3 must clear ~2e-14 for t to count.
         eps = np.finfo(float).eps
         assert abs(r - 1.1) <= 2 * (1 + eps) * 1e-14 ** (1 / 3)
+
+
+def metamorphic_case(seed):
+    """A unit-scale matrix (n = 2..10, ||A||_inf in [0.5, 3]) and its
+    images P A P^T, S1 A S2 and A^T for a random permutation P and random
+    signatures S1, S2, each of which has the sign-real spectral radius
+    of A."""
+    g = np.random.default_rng(seed + 950)
+    n = 2 + seed % 9
+    a = random_matrix(seed + 900, n, norm=float(g.uniform(0.5, 3.0)))
+    p = g.permutation(n)
+    s1, s2 = g.choice([-1.0, 1.0], size=(2, n))
+    images = {"P A P^T": a[np.ix_(p, p)], "S1 A S2": s1[:, None] * a * s2[None, :], "A^T": a.T}
+    return a, images
+
+
+class TestMetamorphicRelations:
+    """rho^R(P A P^T) = rho^R(S1 A S2) = rho^R(A^T) = rho^R(A): both
+    estimators keep it within 2 tol, and the determinant verdict keeps it
+    wherever rho^R is not within 1e-6 of 1."""
+
+    @pytest.mark.parametrize("estimator", [an.rho_sr_enum, an.rho_sr_bisect])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_estimators_are_invariant(self, estimator, seed):
+        tol = 1e-10
+        a, images = metamorphic_case(seed)
+        r = estimator(a, tol)
+        for name, b in images.items():
+            assert abs(estimator(b, tol) - r) <= 2 * tol, name
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_det_verdict_is_invariant(self, seed):
+        a, images = metamorphic_case(seed)
+        rho = an.rho_sr_enum(a, 1e-10)
+        assert abs(rho - 1.0) > 1e-6  # 17 of these cases lie below 1, 7 above
+        verdict = an.det_positive_all_signatures(a)
+        assert verdict == (rho < 1.0)
+        for name, b in images.items():
+            assert an.det_positive_all_signatures(b) == verdict, name
 
 
 def plain_bisection(a, tol, log=None):
@@ -337,8 +376,8 @@ def expansion(a, t):
 class TestSignatureSystems:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_closed_form_threshold_and_exact_matrices(self, n):
-        # The closed-form thresholds match pivot_threshold of the returned
-        # matrices, which are bitwise I - (A/t)S, zero entries included.
+        # The closed-form thresholds match the threshold rule on the norms
+        # of the returned matrices, which are bitwise I - (A/t)S, zero entries included.
         g = np.random.default_rng(400 + n)
         signs = an.signature_stack(n)
         for k in range(4):
@@ -352,7 +391,7 @@ class TestSignatureSystems:
                 want = np.eye(n) - (np.ascontiguousarray(b) / t) * signs[:, None, :]
                 assert mats.tobytes() == want.tobytes()
                 assert np.linalg.det(want).tobytes() == dets.tobytes()
-                ref = la.pivot_threshold(mats)
+                ref = la.threshold_of_norms(np.abs(mats).sum(-1).max(-1))
                 assert (np.abs(thr - ref) <= 1e-15 * ref).all()
 
 

@@ -232,14 +232,12 @@ class TestAnalyze:
         assert run("analyze", str(path), "--out", str(out)) == 0
         assert read_json(str(out))["det_positive_all_signatures"] is False
 
-    # The norm of the 1e308 matrix overflows in condition_profile first,
-    # which numpy reports as a RuntimeWarning.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e30, 1e308])
     @pytest.mark.parametrize("rho", ["enum", "bisect", "both"])
     def test_overflowing_radii_are_an_error(self, tmp_path, capsys, scale, rho):
         # Overflowing char polys or minors once gave 0.0 or 2 ||A||_inf,
-        # and at 1e308 an invalid JSON Infinity, with exit 0.
+        # and at 1e308 an invalid JSON Infinity, with exit 0.  At 1e308
+        # the row sums of |A| overflow, and the loader rejects A.
         b = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))
         a = scale * b if scale < 1e300 else scale * np.sign(b)
         path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(12)))
@@ -340,6 +338,52 @@ class TestCompare:
         assert row["oracle"] == "oracle enumeration capped at n <= 12"
 
 
+class TestOverflowingRowSums:
+    """An A whose row sums of |A| overflow is rejected on loading: every
+    command would otherwise print ||A||_inf as Infinity, which is not
+    JSON, and exit 0, with a RuntimeWarning from numpy."""
+
+    @staticmethod
+    def assert_one_error_naming_a(capsys, path):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert path in captured.err and "field 'A'" in captured.err
+
+    @pytest.mark.parametrize("method", ["sge", "newton", "oracle"])
+    def test_solve(self, tmp_path, capsys, method):
+        a = np.array([[1e308, 1e308], [0.0, 0.1]])
+        path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(2)))
+        assert run("solve", path, "--method", method) == 1
+        self.assert_one_error_naming_a(capsys, path)
+
+    def test_analyze_above_the_enumeration_cap(self, tmp_path, capsys):
+        signs = np.sign(np.random.default_rng(13).uniform(-1.0, 1.0, (13, 13)))
+        path = write_problem(tmp_path / "p.json", pr.AveProblem(1e308 * signs, np.ones(13)))
+        assert run("analyze", path) == 1
+        self.assert_one_error_naming_a(capsys, path)
+
+    def test_compare_skips_the_file(self, tmp_path):
+        d = tmp_path / "instances"
+        d.mkdir()
+        write_problem(d / "huge.json", pr.AveProblem(np.array([[1e308, 1e308], [0.0, 0.1]]),
+                                                     np.ones(2)))
+        run("generate", "--class", "norm-lt-half", "--n", "3", "--seed", "0",
+            "--out", str(d / "good.json"))
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--dir", str(d), "--out", str(out)) == 0
+        data = read_json(str(out))
+        assert [r["instance"] for r in data["instances"]] == ["good.json"]
+        (skipped,) = data["skipped"]
+        assert skipped.startswith("huge.json: ") and "field 'A'" in skipped
+
+    def test_largest_finite_row_sums_still_load(self, tmp_path):
+        a = np.array([[1e308, -7e307], [0.0, 0.1]])
+        path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(2)))
+        problem, _known, _meta = cli.load_problem(path)
+        assert problem.a.tobytes() == a.tobytes()
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "{problem}"),
     ("analyze", "{problem}"),
@@ -401,6 +445,9 @@ def reference_load(path):
         value = np.asarray(data[name], dtype=float)
         if not np.isfinite(value).all() or value.shape != ((n, n) if name == "A" else (n,)):
             raise cli.CliError(name)
+        with np.errstate(over="ignore"):
+            if name == "A" and not np.isfinite(np.abs(value).sum(axis=1)).all():
+                raise cli.CliError(name)
         fields[name] = value
     metadata = data.get("metadata") or {}
     if not isinstance(metadata, dict):

@@ -7,7 +7,7 @@ from avekit import linalg as la
 from avekit import problems as pr
 from avekit.errors import DimensionTooLarge, SingularMatrix
 
-from conftest import random_matrix, well_conditioned_matrix, random_signature
+from conftest import random_matrix, real_radius, well_conditioned_matrix, random_signature
 
 CIRCULANT = np.array([[0.0, 0.0, 0.625], [0.625, 0.0, 0.0], [0.0, 0.625, 0.0]])
 
@@ -27,6 +27,16 @@ class TestInfinityNorm:
     def test_one_norm(self):
         a = np.array([[1.0, -2.0], [3.0, 0.5]])
         assert la.one_norm(a) == 4.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_pivot_threshold_is_the_rule_on_the_norm(self, n):
+        # One matrix, one rule: bitwise threshold_of_norms of its
+        # infinity norm, whatever the memory layout.
+        a = random_matrix(700 + n, n, norm=3.7)
+        for b in (a, np.asfortranarray(a), a.T):
+            thr = la.pivot_threshold(b)
+            assert type(thr) is float
+            assert thr == la.threshold_of_norms(la.infinity_norm(b))
 
 
 def unblocked_pivots(a):
@@ -496,21 +506,23 @@ class TestMaxAbsRealRoots:
 
 
 class TestRho0:
+    """The real spectral radius of one matrix, by ``real_radius``."""
+
     def test_rotation_has_no_real_eigenvalue(self):
-        assert la.rho0(np.array([[0.0, -1.0], [1.0, 0.0]])) == 0.0
+        assert real_radius(np.array([[0.0, -1.0], [1.0, 0.0]])) == 0.0
 
     def test_diagonal(self):
-        assert la.rho0(np.diag([0.3, -0.9])) == pytest.approx(0.9, abs=1e-11)
+        assert real_radius(np.diag([0.3, -0.9])) == pytest.approx(0.9, abs=1e-11)
 
     def test_circulant(self):
-        assert la.rho0(CIRCULANT) == pytest.approx(0.625, abs=1e-11)
+        assert real_radius(CIRCULANT) == pytest.approx(0.625, abs=1e-11)
 
     def test_zero(self):
-        assert la.rho0(np.zeros((4, 4))) == 0.0
+        assert real_radius(np.zeros((4, 4))) == 0.0
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
-            la.rho0(np.eye(17))
+            real_radius(np.eye(17))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_signature_similarity_invariance_exhaustive(self, seed):
@@ -518,27 +530,27 @@ class TestRho0:
         # spectrum is unchanged; check all 2^n signatures.
         n = 2 + seed % 3
         a = random_matrix(seed + 300, n)
-        expected = la.rho0(a)
+        expected = real_radius(a)
         for bits in range(1 << n):
             s = np.array([1.0 if (bits >> j) & 1 == 0 else -1.0 for j in range(n)])
             sas = s[:, None] * a * s[None, :]
-            assert la.rho0(sas) == pytest.approx(expected, abs=1e-9)
+            assert real_radius(sas) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_repeated_eigenvalue_identities(self, n):
         # +-I_n has an n-fold eigenvalue at +-1; locating a root of
         # multiplicity m from polynomial values blurs by about eps^(1/m).
         blur = 4.0 * (n * 2.3e-16) ** (1.0 / n) + 1e-10
-        assert abs(la.rho0(np.eye(n)) - 1.0) <= blur
-        assert abs(la.rho0(-np.eye(n)) - 1.0) <= blur
+        assert abs(real_radius(np.eye(n)) - 1.0) <= blur
+        assert abs(real_radius(-np.eye(n)) - 1.0) <= blur
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_structured_matrices(self, n):
-        assert la.rho0(np.diag(np.linspace(-0.9, 0.8, n))) == pytest.approx(
+        assert real_radius(np.diag(np.linspace(-0.9, 0.8, n))) == pytest.approx(
             0.9, abs=1e-10
         )
-        assert la.rho0(np.triu(np.ones((n, n)), 1)) == pytest.approx(0.0, abs=1e-9)
-        assert la.rho0(np.full((n, n), 0.3)) == pytest.approx(0.3 * n, rel=1e-9)
+        assert real_radius(np.triu(np.ones((n, n)), 1)) == pytest.approx(0.0, abs=1e-9)
+        assert real_radius(np.full((n, n), 0.3)) == pytest.approx(0.3 * n, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_real_roots_route(self, seed):
@@ -549,4 +561,4 @@ class TestRho0:
         eig = np.linalg.eigvals(a)
         real = eig.real[eig.imag == 0.0]
         expected = float(np.abs(real).max()) if real.size else 0.0
-        assert la.rho0(a) == pytest.approx(expected, abs=1e-9)
+        assert real_radius(a) == pytest.approx(expected, abs=1e-9)
