@@ -10,13 +10,14 @@ Scalar draws step the state as a Python int.  Array draws
 same order, computed in lanes: the xorshift step is linear over GF(2),
 so the state t steps ahead is T^t times the current one for a fixed
 64 x 64 bit matrix T.  The draws are cut into blocks of 2^b consecutive
-states, one block per lane.  The first 64 lanes are seeded by one
-product with the jumps T^(i 2^b), further lanes by doubling with the
-powers T^(2^k); both are computed once and cached.  Then all lanes step
-together in numpy ``uint64`` (its multiply wraps mod 2^64, as the scalar
-code masks).  The block length grows like the square root of the draw
-count, so a small array takes few steps and a large one few jumps.  An
-array draw leaves the generator where as many scalar draws would.
+states, one block per lane.  The lanes are seeded by doubling: lane 0
+holds the next state, and applying T^(2^(b + j)) to the first 2^j lanes
+gives the next 2^j; the powers T^(2^k) are computed once and cached.
+Then all lanes step together in numpy ``uint64`` (its multiply wraps
+mod 2^64, as the scalar code masks).  The block length grows like the
+square root of the draw count, so a small array takes few steps and a
+large one few jumps.  An array draw leaves the generator where as many
+scalar draws would.
 """
 
 from __future__ import annotations
@@ -67,22 +68,6 @@ def _power(k: int) -> np.ndarray:
     return m
 
 
-# Lanes seeded by one product with _lane_jumps; more are seeded by doubling.
-_FIRST_LANES = 64
-
-
-@functools.cache
-def _lane_jumps(log_block: int) -> np.ndarray:
-    """Row i holds the columns of T^(i * 2^log_block), for i < _FIRST_LANES;
-    read-only."""
-    stack = (_ONE << _BIT_INDEX)[None]
-    while len(stack) < _FIRST_LANES:
-        k = log_block + len(stack).bit_length() - 1
-        stack = np.concatenate([stack, _apply(_power(k), stack)])
-    stack.flags.writeable = False
-    return stack
-
-
 def to_uniform(r, lo: float, hi: float):
     """The uniform draw on [lo, hi) that the unit draw(s) r stand for."""
     return lo + (hi - lo) * r
@@ -113,8 +98,8 @@ class XorShift64Star:
         log_block = (size >> 3).bit_length() // 2
         block = 1 << log_block
         count = -(-size // block)
-        lanes = _apply(_lane_jumps(log_block)[:count], np.uint64(_xorshift(self._state)))
-        k = log_block + _FIRST_LANES.bit_length() - 1
+        lanes = np.array([_xorshift(self._state)], dtype=np.uint64)
+        k = log_block
         while len(lanes) < count:
             lanes = np.concatenate([lanes, _apply(_power(k), lanes)])
             k += 1

@@ -484,11 +484,13 @@ def cmd_compare(args) -> int:
         lines.append(
             f"{r['instance']:40s} {mark(r['sge_ok']):>4s} {mark(r['newton_ok']):>7s}  {r['oracle']}"
         )
-    print("\n".join(lines))
-    print(f"summary: {summary}")
-    for s in skipped:
-        print(f"skipped: {s}")
     _write_json({"instances": rows, "summary": summary, "skipped": skipped}, args.out)
+    # The table goes to stderr, so that stdout carries the JSON report alone;
+    # it follows the report, so an unwritable --out leaves one error line.
+    print("\n".join(lines), file=sys.stderr)
+    print(f"summary: {summary}", file=sys.stderr)
+    for s in skipped:
+        print(f"skipped: {s}", file=sys.stderr)
     return 0
 
 

@@ -329,39 +329,20 @@ def _next_member(coef: np.ndarray, degree: np.ndarray, rows, k: int, cu: int, cv
     degree[k, rows] = new_degree
 
 
-def _variations_across_zeros(s: np.ndarray) -> np.ndarray:
-    """Per-row sign variations of (m, L) sign values, skipping zeros,
-    each entry compared with the last nonzero entry before it."""
-    m, L = s.shape
-    nonzero = s != 0.0
-    # Positions in the smallest signed type that holds them (int8 here),
-    # which keeps these (m, L) temporaries small.
-    pos = np.arange(L, dtype=np.min_scalar_type(-L))
-    idx = np.where(nonzero, pos[None, :], pos.dtype.type(-1))
-    last = np.maximum.accumulate(idx, axis=1)
-    prev = np.empty_like(last)
-    prev[:, 0] = -1
-    prev[:, 1:] = last[:, :-1]
-    prev_sign = np.take_along_axis(s, np.maximum(prev, 0), axis=1)
-    flips = nonzero & (prev >= 0) & (s != prev_sign)
-    return flips.sum(axis=1)
-
-
 def _count_variations(s: np.ndarray) -> np.ndarray:
     """Sign variations of (..., L, m) sign values along the L axis,
-    skipping zeros, shaped (..., m).
+    skipping zeros, shaped (..., m), as int16 (it sums faster than int64
+    and holds the at most L - 1 variations of a chain below degree 2^15).
 
     Counted on adjacent pairs, which is exact unless a zero sits between
-    two nonzero entries; the sequences where a nonzero entry follows a
-    zero are recounted by ``_variations_across_zeros``.  The counts are
-    int16, which sums faster than the default int64 and holds the at
-    most L - 1 variations of any chain below degree 2^15."""
-    flips = (s[..., :-1, :] * s[..., 1:, :] < 0.0).sum(axis=-2, dtype=np.int16)
+    two nonzero entries; so when some nonzero entry in the batch follows
+    a zero, each entry first takes the last nonzero one at or before it."""
     nonzero = s != 0.0
-    redo = (nonzero[..., 1:, :] > nonzero[..., :-1, :]).any(axis=-2)
-    if redo.any():
-        flips[redo] = _variations_across_zeros(np.moveaxis(s, -2, -1)[redo])
-    return flips
+    if (nonzero[..., 1:, :] > nonzero[..., :-1, :]).any():
+        pos = np.arange(s.shape[-2])[:, None]
+        last = np.maximum.accumulate(np.where(nonzero, pos, 0), axis=-2)
+        s = np.take_along_axis(s, last, axis=-2)
+    return (s[..., :-1, :] * s[..., 1:, :] < 0.0).sum(axis=-2, dtype=np.int16)
 
 
 def _variations_stack(coef: np.ndarray, x) -> np.ndarray:

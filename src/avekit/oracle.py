@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import _check_enum_dim, signature_stack, signature_systems
 from .errors import NotUnique
+from .linalg import infinity_norm
 from .problems import AveProblem, residual
 
 
@@ -25,10 +26,11 @@ from .problems import AveProblem, residual
 class OracleResult:
     """Accepted (signature, solution) pairs plus singular signatures.
 
-    Every listed solution satisfies the residual bound
-    ``1e-10 * (1 + |b|_inf)`` and orthant consistency ``s_i z_i >=
-    -tau_sign``; solutions closer than ``1e-9 * (1 + |z|_inf)`` are
-    collapsed to their first representative in enumeration order.
+    Every listed solution satisfies the residual bound ``1e-10 *
+    (|A|_inf |z|_inf + |b|_inf)`` and orthant consistency ``s_i z_i >=
+    -1e-10 |z|_inf``; solutions closer than ``1e-9 |z|_inf`` are
+    collapsed to their first representative in enumeration order.  All
+    three scale with (b, z), so b = 0 gives exactly z = 0.
     """
 
     solutions: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
@@ -59,16 +61,17 @@ def enumerate_solutions(problem: AveProblem) -> OracleResult:
     result = OracleResult(
         singular_signatures=[signs[i].astype(np.int64) for i in np.nonzero(singular)[0]]
     )
-    b_scale = 1.0 + float(np.abs(problem.b).max(initial=0.0))
+    a_norm = infinity_norm(problem.a)
+    b_norm = float(np.abs(problem.b).max(initial=0.0))
     z_max = np.abs(candidates).max(axis=1)
-    tau_sign = 1e-10 * (1.0 + z_max)
+    tau_sign = 1e-10 * z_max
     # Singular rows hold NaN, which no comparison rejects; the mask does.
     consistent = ~singular & ~(signs * candidates < -tau_sign[:, None]).any(axis=1)
     for i in np.flatnonzero(consistent):
         z = candidates[i]
-        if residual(problem, z) > 1e-10 * b_scale:
+        if residual(problem, z) > 1e-10 * (a_norm * z_max[i] + b_norm):
             continue
-        dedup_tol = 1e-9 * (1.0 + z_max[i])
+        dedup_tol = 1e-9 * z_max[i]
         if any(np.abs(z - kept).max() <= dedup_tol for _, kept in result.solutions):
             continue
         result.solutions.append((signs[i].astype(np.int64), z))

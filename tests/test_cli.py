@@ -104,6 +104,16 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "sge-trap" in err and "norm-lt-half" in err
 
+    def test_inflated_identity_payload(self, tmp_path):
+        # The benchmark's degenerate instance: A = 1.1 I, b = -1.
+        path = tmp_path / "inflated.json"
+        assert run("generate", "--class", "inflated-identity", "--eps", "0.1", "--n", "3",
+                   "--out", str(path)) == 0
+        data = read_json(str(path))
+        assert data["A"] == (1.1 * np.eye(3)).tolist()
+        assert data["b"] == [-1.0, -1.0, -1.0]
+        assert "known_solution" not in data
+
     def test_roundtrip_identity(self, tmp_path):
         path = tmp_path / "r.json"
         assert run("generate", "--class", "unconstrained", "--nu", "1.3", "--n", "4",
@@ -201,6 +211,23 @@ class TestSolve:
         assert run("solve", trap_file, "--method", "newton", "--start", "+-+") == 1
         assert "length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start", ["plus", "minus"])
+    def test_newton_constant_starts(self, trap_file, tmp_path, start):
+        # Newton solves the trap from every starting signature.
+        out = tmp_path / "report.json"
+        assert run("solve", trap_file, "--method", "newton", "--start", start,
+                   "--out", str(out)) == 0
+        report = read_json(str(out))
+        assert report["status"] == "converged"
+        assert report["z"] == pytest.approx([0.005, 1.0], abs=1e-12)
+
+    def test_invalid_start_word(self, trap_file, capsys):
+        assert run("solve", trap_file, "--method", "newton", "--start", "both") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "'both'" in captured.err
+
 
 class TestAnalyze:
     def test_circulant_profile(self, circulant_file, tmp_path):
@@ -297,6 +324,21 @@ class TestCompare:
         assert circ["sge_ok"] and not circ["newton_ok"]
         assert data["summary"]["sge_only"] == 1
         assert data["summary"]["newton_only"] == 1
+
+    def test_stdout_is_the_json_report(self, capsys):
+        assert run("compare", "--suite", "demo") == 0
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["summary"]["sge_only"] == data["summary"]["newton_only"] == 1
+        assert captured.err.splitlines()[0].split() == ["instance", "sge", "newton", "oracle"]
+        assert "trap-eps-0.01" in captured.err and "summary: " in captured.err
+
+    def test_random_suite(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--suite", "random", "--out", str(out)) == 0
+        data = read_json(str(out))
+        assert len(data["instances"]) == 20
+        assert data["summary"]["both"] == 20
 
     def test_directory_of_guaranteed_instances(self, tmp_path):
         d = tmp_path / "instances"

@@ -427,12 +427,22 @@ class TestScalarChainReference:
 class TestCountVariations:
     def test_adjacent_pairs_recount_interior_zeros(self):
         # Sign sequences with signed zeros anywhere, leading, interior and
-        # trailing, counted along the second-to-last axis.
+        # trailing, and one all-zero sequence, counted along the
+        # second-to-last axis.
         g = np.random.default_rng(9)
         s = g.choice([-1.0, -0.0, 0.0, 1.0], p=[0.35, 0.1, 0.2, 0.35], size=(3, 9, 400))
+        s[1, :, 0] = 0.0
         want = [[variations(s[p, :, i]) for i in range(400)] for p in range(3)]
         assert la._count_variations(s).tolist() == want
         assert la._count_variations(s[1]).tolist() == want[1]
+        # Zeros only at the ends of the sequences, as in ended chains, with
+        # one all-zero sequence: adjacent pairs alone count these.
+        ended = g.choice([-1.0, 1.0], size=(9, 60))
+        ended[np.arange(9)[:, None] >= 9 - np.arange(60) % 10] = -0.0
+        assert not ended[:, 59].any()
+        want = [variations(ended[:, i]) for i in range(60)]
+        assert la._count_variations(ended).tolist() == want
+        assert la._count_variations(np.zeros((9, 1))).tolist() == [0]
 
 
 class TestMaxAbsRealRoots:

@@ -11,8 +11,9 @@ from conftest import random_matrix, rng
 
 def per_signature_reference(problem):
     """The oracle's orthant filter as one Python step per signature, with
-    the same LAPACK stack and fallback; the vectorised filter must agree
-    with it bit for bit."""
+    the same LAPACK stack and fallback and the same tolerances, each
+    relative to |z|_inf; the vectorised filter must agree with it bit for
+    bit."""
     n = problem.n
     signs = an.signature_stack(n, fix_first=False)
     mats, dets, thresholds = an.signature_systems(problem.a)
@@ -31,17 +32,18 @@ def per_signature_reference(problem):
                     singular[i] = True
 
     solutions = []
-    b_scale = 1.0 + float(np.abs(problem.b).max(initial=0.0))
+    a_norm = float(np.abs(problem.a).sum(axis=1).max())
+    b_norm = float(np.abs(problem.b).max(initial=0.0))
     for i in range(signs.shape[0]):
         if singular[i]:
             continue
         z = candidates[i]
-        tau_sign = 1e-10 * (1.0 + float(np.abs(z).max()))
-        if (signs[i] * z < -tau_sign).any():
+        z_max = float(np.abs(z).max())
+        if (signs[i] * z < -1e-10 * z_max).any():
             continue
-        if pr.residual(problem, z) > 1e-10 * b_scale:
+        if pr.residual(problem, z) > 1e-10 * (a_norm * z_max + b_norm):
             continue
-        dedup_tol = 1e-9 * (1.0 + float(np.abs(z).max()))
+        dedup_tol = 1e-9 * z_max
         if any(np.abs(z - kept).max() <= dedup_tol for _, kept in solutions):
             continue
         solutions.append((signs[i].astype(np.int64), z))
@@ -155,6 +157,47 @@ class TestEnumerateSolutions:
         direct = enumerate_solutions(pr.AveProblem(a, b))
         relabeled = enumerate_solutions(pr.AveProblem(p @ a @ p.T, p @ b))
         assert len(direct.solutions) == len(relabeled.solutions)
+
+
+class TestScaleInvariance:
+    """Every oracle tolerance scales with (b, z): a right-hand side far
+    below unit scale keeps its true orthant, and (A, 2^k b) gives 2^k z
+    bit for bit."""
+
+    @pytest.mark.parametrize("k", [-40, -80])
+    def test_small_rhs_keeps_its_orthant(self, k):
+        # With absolute floors, z = (3.5e-13, -5.4e-13) from signs [1, 1]
+        # passed the orthant and residual tests at k = -40.
+        p = pr.random_instance("norm_lt_half", 2, 0)[0]
+        (sig, z), = enumerate_solutions(p).solutions
+        (sig_k, z_k), = enumerate_solutions(pr.AveProblem(p.a, np.ldexp(p.b, k))).solutions
+        assert sig.tolist() == sig_k.tolist() == [1, -1]
+        assert np.abs(np.ldexp(z_k, -k) - z).max() <= 1e-12 * np.abs(z).max()
+
+    @pytest.mark.parametrize("cls_index, cls", enumerate(
+        ["norm_lt_half", "irreducible_half", "sdd_two_thirds", "tridiag_abs_sym"]))
+    def test_power_of_two_homogeneity(self, cls_index, cls):
+        # The first 28 instances of each criterion-1 suite, n = 2..8.
+        for i in range(28):
+            problem = pr.random_instance(cls, 2 + i % 7, 100_000 * cls_index + i)[0]
+            want = enumerate_solutions(problem).solutions
+            for k in (-80, -40, 40, 200):
+                got = enumerate_solutions(pr.AveProblem(problem.a, np.ldexp(problem.b, k)))
+                assert [s.tolist() for s, _ in got.solutions] == [s.tolist() for s, _ in want]
+                for (_, z_k), (_, z) in zip(got.solutions, want):
+                    assert z_k.tobytes() == np.ldexp(z, k).tobytes()
+
+    def test_boundary_solution_deduplicated_at_small_scale(self):
+        # test_boundary_solution_deduplicated's problem with b 2^-40.
+        b = np.ldexp(np.array([0.0, 1.0]), -40)
+        result = enumerate_solutions(pr.AveProblem(np.zeros((2, 2)), b))
+        (sig, z), = result.solutions
+        assert sig.tolist() == [1, 1] and z.tobytes() == b.tobytes()
+
+    def test_zero_rhs_gives_zero(self):
+        result = enumerate_solutions(pr.AveProblem(random_matrix(3, 4, norm=0.9), np.zeros(4)))
+        (_, z), = result.solutions
+        assert not z.any()
 
 
 class TestUniqueSolution:

@@ -60,6 +60,12 @@ class TestGenerators:
             }[cls]
             assert expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sdd_two_thirds_at_n_one(self, seed):
+        # A 1 x 1 row has no off-diagonal mass: the generator's zero-row branch.
+        a = pr.gen_class("sdd_two_thirds", 1, seed)
+        assert a.shape == (1, 1) and an.condition_profile(a).cond3
+
     def test_norm_lt_third(self):
         for seed in range(10):
             a = pr.gen_class("norm_lt_third", 4, seed)
