@@ -8,6 +8,7 @@ bisection).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
@@ -28,6 +29,18 @@ from .linalg import (
 
 # 2^n signature enumerations are kept below a second of work.
 MAX_ENUM_DIM = 12
+
+# Signatures rho_sr_enum searches first: those with the largest bounds
+# on rho(S A).
+_CANDIDATES = 16
+
+# Half-stacks smaller than this (n <= 7) are searched whole: there the
+# Sturm search of all rows costs about what that of 16 rows does, so the
+# bounds would only add their own cost.
+_PRUNED_FROM = 128
+
+# Squarings q behind rho_sr_enum's bound rho(X) <= ||X^(2^q)||_inf^(2^-q).
+_SQUARINGS = 5
 
 
 def signature_of(z) -> np.ndarray:
@@ -158,22 +171,89 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     Maximizes the real spectral radius of S*A over all signatures S.  The
     first sign is pinned to +1: S and -S give the same set of |real
     eigenvalue| values, so half the enumeration suffices (verified as a
-    unit test rather than assumed silently).  Raises ValueError when
-    ||A||_inf or a characteristic polynomial coefficient overflows.
+    unit test rather than assumed silently).
+
+    Only the signatures that can hold the maximum are searched.  Each one
+    gets a proven upper bound on rho(S A) (``_radius_bounds``); the
+    ``_CANDIDATES`` largest are searched first, by characteristic
+    polynomials and Sturm bisection, which gives r.  A signature whose
+    bound is below r - tol has no real eigenvalue within tol of r, so it
+    cannot hold the maximum and is dropped unsearched; any other joins
+    the search, which runs again until no unsearched bound reaches
+    r - tol.
+    So every signature is searched or excluded by a proof, and the
+    result is that of the search over the whole half-stack.  Half-stacks
+    of fewer than ``_PRUNED_FROM`` signatures are searched whole.
+
+    Raises ValueError when ||A||_inf overflows, or when a characteristic
+    polynomial coefficient of a searched signature does (only those are
+    computed).
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "rho_sr_enum")
-    signs = signature_stack(n, fix_first=True)
-    mats = signs[:, :, None] * a[None, :, :]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         # ||S A||_inf == ||A||_inf for every signature, so one bound serves all.
         norm = infinity_norm(a)
-        polys = char_polys_stack(mats)
-    if not (np.isfinite(norm) and np.isfinite(polys).all()):
-        raise ValueError("rho_sr_enum: ||A||_inf or a characteristic polynomial "
-                         "coefficient of S*A overflows; scale A down")
+    if not np.isfinite(norm):
+        raise ValueError("rho_sr_enum: ||A||_inf overflows; scale A down")
+    signs = signature_stack(n, fix_first=True)
+    if len(signs) < _PRUNED_FROM:
+        return _largest_real_root(a, signs, norm, tol)
+    bounds = _radius_bounds(a, signs, norm)
+    searched = np.zeros(len(signs), dtype=bool)
+    rows = np.argpartition(bounds, -_CANDIDATES)[-_CANDIDATES:]
+    while rows.size:
+        searched[rows] = True
+        r = _largest_real_root(a, signs[searched], norm, tol)
+        # A row is dropped only where its bound proves it.
+        rows = np.flatnonzero(~(searched | (bounds < r - tol)))
+    return r
+
+
+def _largest_real_root(a: np.ndarray, signs: np.ndarray, norm: float, tol: float) -> float:
+    """max_S rho_0(S A) over the signatures ``signs`` (rows), by
+    ``char_polys_stack`` and ``max_abs_real_roots``; ``norm`` is
+    ||A||_inf.  Raises ValueError when a coefficient overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        polys = char_polys_stack(signs[:, :, None] * a[None, :, :])
+    if not np.isfinite(polys).all():
+        raise ValueError("rho_sr_enum: a characteristic polynomial coefficient "
+                         "of S*A overflows; scale A down")
     return max_abs_real_roots(polys, norm, tol)
+
+
+def _radius_bounds(a: np.ndarray, signs: np.ndarray, norm: float) -> np.ndarray:
+    """An upper bound on rho(S A) for each of the signatures ``signs``
+    (rows); ``norm`` is ||A||_inf, finite.
+
+    rho(X) <= ||X^k||_inf^(1/k) for any k; here k = 2^q with q =
+    ``_SQUARINGS``, and X^k comes from q batched squarings of the stack
+    X = 2^-e S A, e = frexp(||A||_inf)[1].  The scaling is exact and puts
+    ||X||_inf in [1/2, 1), so no power overflows, and the bounds scale
+    exactly with A under powers of two.
+
+    Squaring in floating point, the computed X^k lies within
+    ((1 + gamma_n)^(k - 1) - 1) |X|^k, about (k - 1) n u |X|^k, of the
+    exact power, entrywise (u = eps/2, gamma_n = n u / (1 - n u)), and
+    |X| = |2^-e A| for every S.  So ||X^k||_inf is at most
+    the computed row-sum maximum plus one rounding term for the whole
+    stack, 2 k n eps || |2^-e A|^k ||_inf, which also covers the rounding
+    of |A|'s own squarings and of the row sums, plus k n 2^-1022 for
+    underflow.  The k-th root is rounded up by a factor 1 + 4 eps."""
+    n = a.shape[0]
+    k = 1 << _SQUARINGS
+    e = math.frexp(norm)[1]
+    x = np.ldexp(a, -e)
+    powers = signs[:, :, None] * x[None, :, :]
+    absolute = np.abs(x)
+    for _ in range(_SQUARINGS):
+        powers = powers @ powers
+        absolute = absolute @ absolute
+    eps = np.finfo(float).eps
+    slack = 2 * k * n * eps * infinity_norm(absolute) + k * n * np.finfo(float).tiny
+    norms = np.einsum("kij->ki", np.abs(powers, out=powers)).max(axis=1)
+    return np.ldexp((norms + slack) ** (1.0 / k) * (1.0 + 4 * eps), e)
 
 
 def signature_systems(a: np.ndarray, scale: float = 1.0):
@@ -189,7 +269,11 @@ def signature_systems(a: np.ndarray, scale: float = 1.0):
     np.subtract(0.0, mats, out=mats)
     mats.reshape(m, n * n)[:, ::n + 1] += 1.0
     thr = _signature_thresholds(_threshold_rows(a), scale).reshape(m)
-    return mats, np.linalg.det(mats), thr
+    # A determinant past the float range comes out inf, which clears any
+    # threshold: the system counts as nonsingular, as it is.
+    with np.errstate(over="ignore"):
+        dets = np.linalg.det(mats)
+    return mats, dets, thr
 
 
 def det_positive_all_signatures(a) -> bool:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from avekit import analysis as an
 from avekit import linalg as la
 
 
@@ -37,3 +38,10 @@ def real_radius(a: np.ndarray, tol: float = 1e-12) -> float:
     eigenvalues (0 if none): the Sturm root search of ``rho_sr_enum`` on
     the one-row stack of its characteristic polynomial."""
     return la.max_abs_real_roots(la.char_polys_stack(a[None]), la.infinity_norm(a), tol)
+
+
+def half_stack(a: np.ndarray) -> np.ndarray:
+    """The characteristic polynomials of S A over the signatures with
+    s_0 = +1, the whole stack rho_sr_enum searches or excludes."""
+    signs = an.signature_stack(a.shape[0], fix_first=True)
+    return la.char_polys_stack(signs[:, :, None] * a)

@@ -10,7 +10,7 @@ from avekit import linalg as la
 from avekit import problems as pr
 from avekit.errors import DimensionTooLarge
 
-from conftest import random_matrix, real_radius, random_signature
+from conftest import half_stack, random_matrix, real_radius, random_signature
 
 CIRCULANT = np.array([[0.0, 0.0, 0.625], [0.625, 0.0, 0.0], [0.0, 0.625, 0.0]])
 TRAP_MATRIX = np.array([[0.005, 0.505], [0.0, 0.5]])
@@ -171,6 +171,113 @@ class TestRhoSrEnum:
         r = an.rho_sr_enum(a)
         assert r <= la.infinity_norm(a) + 1e-9
         assert r <= la.one_norm(a) + 1e-9
+
+
+def pruning_cases():
+    """263 matrices for rho_sr_enum's pruned search, most with n >= 8,
+    where the pruning runs: unit-scale random ones at n = 2..12, integer
+    ones (signatures with tied spectra), sparse ones, orthogonal times c
+    (every signature has the same radius), every analyze-rho class at
+    n = 8, 10, 12, and 1.1 I."""
+    g = np.random.default_rng(2022)
+    cases = [g.uniform(-1.0, 1.0, (n, n)) for n in [*range(2, 8)] * 4 + [8] * 50 + [9] * 25
+             + [10] * 8 + [11] * 3 + [12] * 2]
+    cases += [g.integers(-2, 3, (n, n)).astype(float)
+              for n in [3, 6] + [8] * 35 + [9] * 12 + [10] * 4 + [11, 12]]
+    cases += [g.uniform(-1.0, 1.0, (n, n)) * (g.uniform(size=(n, n)) < 0.3)
+              for n in [4] + [8] * 35 + [9] * 12 + [10] * 4 + [11, 12]]
+    cases += [c * np.linalg.qr(g.normal(size=(n, n)))[0]
+              for n, c in [(5, 0.3), (8, 0.7), (8, 3.0), (9, 0.7), (10, 1.2), (12, 0.9)]]
+    for n, seeds in ((8, (21, 24)), (10, (21, 24)), (12, (21,))):
+        for seed in seeds:
+            for cls, nu in [("norm_lt_half", None), ("irreducible_half", None),
+                            ("sdd_two_thirds", None), ("tridiag_abs_sym", None),
+                            ("unconstrained", 0.9), ("unconstrained", 1.5),
+                            ("unconstrained", 4.0)]:
+                cases.append(pr.gen_class(cls, n, seed, nu=nu))
+    cases.append(pr.inflated_identity(0.1, 3))
+    return cases
+
+
+PRUNING_CASES = pruning_cases()
+
+
+class TestSignaturePruning:
+    """rho_sr_enum searches only the signatures whose bound on rho(S A)
+    reaches the maximum, and must give the search over the whole
+    half-stack bit for bit."""
+
+    # 2^-20 is left out: near that scale the whole-stack search is wrong
+    # (the absolute thresholds of the Sturm chains), by up to 50 % against
+    # rho_sr_bisect, and the pruned search, which skips the rows whose
+    # counts go wrong, gives a different and closer value.
+    @pytest.mark.parametrize("j", [0, 20, 60, -60])
+    def test_is_the_whole_stack_search(self, j):
+        # 263 matrices at each of 4 scales, 1052 in all, tol scaled along.
+        tol = math.ldexp(1e-10, j)
+        for b in PRUNING_CASES:
+            a = np.ldexp(b, j)
+            whole = la.max_abs_real_roots(half_stack(a), la.infinity_norm(a), tol)
+            assert an.rho_sr_enum(a, tol) == whole
+
+    @pytest.mark.parametrize("name, a", [
+        ("zero", np.zeros((8, 8))),
+        ("nilpotent", np.triu(np.random.default_rng(1).uniform(-1.0, 1.0, (9, 9)), 1)),
+        ("jordan", np.eye(10) + np.eye(10, k=1)),
+        ("jordan-0.3", 0.3 * np.eye(8) - 0.7 * np.eye(8, k=1)),
+        ("1.1 I", 1.1 * np.eye(8)),
+        ("random", np.random.default_rng(2).uniform(-1.0, 1.0, (10, 10))),
+        ("integer", np.random.default_rng(3).integers(-2, 3, (8, 8)).astype(float)),
+        ("tridiag", pr.gen_class("tridiag_abs_sym", 12, 21)),
+    ])
+    def test_bound_dominates_every_signature(self, name, a):
+        signs = an.signature_stack(a.shape[0], fix_first=True)
+        for j in (0, 40, -40):
+            scaled = np.ldexp(a, j)
+            bounds = an._radius_bounds(scaled, signs, la.infinity_norm(scaled))
+            radii = [np.abs(np.linalg.eigvals(s[:, None] * scaled)).max() for s in signs]
+            assert (bounds >= radii).all(), name
+
+    @pytest.mark.parametrize("index", range(0, len(PRUNING_CASES), 13))
+    def test_bounds_scale_exactly_with_powers_of_two(self, index):
+        # The bound squares 2^-e S A, ||2^-e A||_inf in [1/2, 1): nothing
+        # overflows or underflows, so it is exactly homogeneous.
+        a = PRUNING_CASES[index]
+        signs = an.signature_stack(a.shape[0], fix_first=True)
+        bounds = an._radius_bounds(a, signs, la.infinity_norm(a))
+        assert np.isfinite(bounds).all()
+        for j in (-60, -20, 20, 60):
+            scaled = np.ldexp(a, j)
+            got = an._radius_bounds(scaled, signs, la.infinity_norm(scaled))
+            assert got.tobytes() == np.ldexp(bounds, j).tobytes()
+
+    def test_searches_few_signatures(self, monkeypatch):
+        searched = []
+        real = an._largest_real_root
+
+        def record(a, signs, norm, tol):
+            searched.append(len(signs))
+            return real(a, signs, norm, tol)
+
+        monkeypatch.setattr(an, "_largest_real_root", record)
+        for nu in (0.9, 1.5, 4.0):
+            searched.clear()
+            an.rho_sr_enum(pr.gen_class("unconstrained", 12, 21, nu=nu))
+            assert searched == [an._CANDIDATES]
+        # Tied spectra: 512 of the 2048 bounds reach r - tol, so those
+        # signatures join a second search.
+        searched.clear()
+        an.rho_sr_enum(pr.gen_class("tridiag_abs_sym", 12, 21))
+        assert searched == [an._CANDIDATES, 512]
+
+    def test_small_stacks_are_searched_whole(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(an, "_radius_bounds", lambda *args: calls.append(args))
+        for n in range(2, 8):
+            a = random_matrix(n, n)
+            assert an.rho_sr_enum(a) == la.max_abs_real_roots(half_stack(a), la.infinity_norm(a),
+                                                              1e-10)
+        assert calls == []
 
 
 class TestRhoSrBisect:
@@ -635,6 +742,11 @@ class TestDetPositivity:
 
 
 class TestOverflow:
+    """rho_sr_enum computes the characteristic polynomials of the searched
+    signatures only, so only their coefficients are checked for overflow.
+    At 1e30 B that still catches it: the constant coefficient is
+    det(S A) = +-det(A), which overflows for every signature."""
+
     B = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))  # rho^R = 3.29
 
     def test_overflowing_coefficients_and_minors_raise(self):

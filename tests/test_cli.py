@@ -426,6 +426,36 @@ class TestOverflowingRowSums:
         assert problem.a.tobytes() == a.tobytes()
 
 
+class TestOverflowingDeterminants:
+    """The oracle's determinants of I - AS overflow at ||A||_inf near
+    1e150; the commands run without a warning on stderr, which holds
+    nothing for ``solve`` and the table alone for ``compare``."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        g = np.random.default_rng(3)
+        problem = pr.AveProblem(1e150 * g.uniform(-1.0, 1.0, (6, 6)), g.uniform(-1.0, 1.0, 6))
+        d = tmp_path / "instances"
+        d.mkdir()
+        return write_problem(d / "huge.json", problem)
+
+    def test_solve_oracle(self, huge, capsys):
+        assert run("solve", huge, "--method", "oracle") == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["status"] == "not_unique" and report["solution_count"] == 0
+
+    def test_compare(self, huge, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--dir", str(tmp_path / "instances"), "--out", str(out)) == 0
+        table = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in table] == ["instance", "-" * 61, "huge.json",
+                                                         "summary:"]
+        (row,) = read_json(str(out))["instances"]
+        assert row["instance"] == "huge.json" and row["oracle"].startswith("found 0 solutions")
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "{problem}"),
     ("analyze", "{problem}"),

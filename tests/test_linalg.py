@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from avekit import analysis as an
 from avekit import linalg as la
 from avekit import problems as pr
 from avekit.errors import DimensionTooLarge, SingularMatrix
 
-from conftest import random_matrix, real_radius, well_conditioned_matrix, random_signature
+from conftest import (half_stack, random_matrix, real_radius, well_conditioned_matrix,
+                      random_signature)
 
 CIRCULANT = np.array([[0.0, 0.0, 0.625], [0.625, 0.0, 0.0], [0.0, 0.625, 0.0]])
 
@@ -373,13 +373,6 @@ def scalar_chain(p):
             break
         chain.append(-r / np.abs(r).max())
     return chain
-
-
-def half_stack(a):
-    """The characteristic polynomials of S A over the signatures with
-    s_0 = +1, the stack rho_sr_enum searches."""
-    signs = an.signature_stack(a.shape[0], fix_first=True)
-    return la.char_polys_stack(signs[:, :, None] * a)
 
 
 REFERENCE_STACKS = {

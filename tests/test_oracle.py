@@ -159,6 +159,30 @@ class TestEnumerateSolutions:
         assert len(direct.solutions) == len(relabeled.solutions)
 
 
+class TestOverflowingDeterminants:
+    """At ||A||_inf near 1e150 the determinants of I - AS pass the float
+    range.  They come out inf, which counts as nonsingular, with no
+    RuntimeWarning (warnings are errors under pytest)."""
+
+    B = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 6))
+    V = np.random.default_rng(4).uniform(0.5, 1.0, 6)
+
+    def test_every_orthant_holds_a_solution(self):
+        # b = -B v with v > 0: z = S v / 1e150 solves z - 1e150 B |z| = b
+        # up to the z term, for each of the 64 signatures S.
+        result = enumerate_solutions(pr.AveProblem(1e150 * self.B, -(self.B @ self.V)))
+        assert result.singular_signatures == []
+        assert len(result.solutions) == 64
+        for sig, z in result.solutions:
+            assert np.array_equal(an.signature_of(z), sig)
+            assert np.abs(1e150 * np.abs(z) - self.V).max() <= 1e-12
+
+    def test_no_orthant_holds_a_solution(self):
+        b = np.random.default_rng(5).uniform(-1.0, 1.0, 6)
+        result = enumerate_solutions(pr.AveProblem(1e150 * self.B, b))
+        assert result.solutions == [] and result.singular_signatures == []
+
+
 class TestScaleInvariance:
     """Every oracle tolerance scales with (b, z): a right-hand side far
     below unit scale keeps its true orthant, and (A, 2^k b) gives 2^k z
