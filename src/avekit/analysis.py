@@ -42,6 +42,10 @@ _PRUNED_FROM = 128
 # Squarings q behind rho_sr_enum's bound rho(X) <= ||X^(2^q)||_inf^(2^-q).
 _SQUARINGS = 5
 
+# _radius_bounds squares 2^_BLOCK_BITS signatures at a time: at n = 12 a
+# block is 295 KB, against 2.4 MB for the whole half-stack.
+_BLOCK_BITS = 8
+
 
 def signature_of(z) -> np.ndarray:
     """Componentwise sign of z as a +-1 integer vector, with sign(0) = +1.
@@ -185,7 +189,7 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     result is that of the search over the whole half-stack.  Half-stacks
     of fewer than ``_PRUNED_FROM`` signatures are searched whole.
 
-    Raises ValueError when ||A||_inf overflows, or when a characteristic
+    Raises ValueError when 2||A||_inf overflows, or when a characteristic
     polynomial coefficient of a searched signature does (only those are
     computed).
     """
@@ -195,12 +199,12 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     with np.errstate(over="ignore"):
         # ||S A||_inf == ||A||_inf for every signature, so one bound serves all.
         norm = infinity_norm(a)
-    if not np.isfinite(norm):
-        raise ValueError("rho_sr_enum: ||A||_inf overflows; scale A down")
+    if not np.isfinite(2.0 * norm):
+        raise ValueError("rho_sr_enum: 2||A||_inf overflows; scale A down")
     signs = signature_stack(n, fix_first=True)
     if len(signs) < _PRUNED_FROM:
         return _largest_real_root(a, signs, norm, tol)
-    bounds = _radius_bounds(a, signs, norm)
+    bounds = _radius_bounds(a, norm)
     searched = np.zeros(len(signs), dtype=bool)
     rows = np.argpartition(bounds, -_CANDIDATES)[-_CANDIDATES:]
     while rows.size:
@@ -223,15 +227,20 @@ def _largest_real_root(a: np.ndarray, signs: np.ndarray, norm: float, tol: float
     return max_abs_real_roots(polys, norm, tol)
 
 
-def _radius_bounds(a: np.ndarray, signs: np.ndarray, norm: float) -> np.ndarray:
-    """An upper bound on rho(S A) for each of the signatures ``signs``
-    (rows); ``norm`` is ||A||_inf, finite.
+def _radius_bounds(a: np.ndarray, norm: float) -> np.ndarray:
+    """An upper bound on rho(S A) for each signature S of
+    ``signature_stack(n, fix_first=True)``, in its order; ``norm`` is
+    ||A||_inf, finite.
 
     rho(X) <= ||X^k||_inf^(1/k) for any k; here k = 2^q with q =
     ``_SQUARINGS``, and X^k comes from q batched squarings of the stack
     X = 2^-e S A, e = frexp(||A||_inf)[1].  The scaling is exact and puts
     ||X||_inf in [1/2, 1), so no power overflows, and the bounds scale
-    exactly with A under powers of two.
+    exactly with A under powers of two.  The stack is squared one block
+    of ``_signed_blocks`` at a time, in two buffers reused for every
+    block; each matrix goes through the same products and row sums as in
+    a squaring of the whole stack, so the bounds do not depend on the
+    block size.
 
     Squaring in floating point, the computed X^k lies within
     ((1 + gamma_n)^(k - 1) - 1) |X|^k, about (k - 1) n u |X|^k, of the
@@ -245,15 +254,50 @@ def _radius_bounds(a: np.ndarray, signs: np.ndarray, norm: float) -> np.ndarray:
     k = 1 << _SQUARINGS
     e = math.frexp(norm)[1]
     x = np.ldexp(a, -e)
-    powers = signs[:, :, None] * x[None, :, :]
     absolute = np.abs(x)
     for _ in range(_SQUARINGS):
-        powers = powers @ powers
         absolute = absolute @ absolute
     eps = np.finfo(float).eps
     slack = 2 * k * n * eps * infinity_norm(absolute) + k * n * np.finfo(float).tiny
-    norms = np.einsum("kij->ki", np.abs(powers, out=powers)).max(axis=1)
+    size = 1 << min(_BLOCK_BITS, n - 1)
+    signed, spare = np.empty((size, n, n)), np.empty((size, n, n))
+    norms = np.empty(1 << (n - 1))
+    for b, block in enumerate(_signed_blocks(x, signed)):
+        for q in range(_SQUARINGS):
+            block = np.matmul(block, block, out=(spare, signed)[q % 2])
+        np.abs(block, out=block)
+        np.einsum("kij->ki", block).max(axis=1, out=norms[b * size:(b + 1) * size])
     return np.ldexp((norms + slack) ** (1.0 / k) * (1.0 + 4 * eps), e)
+
+
+def _signed_blocks(x: np.ndarray, out: np.ndarray):
+    """The stack ``signature_stack(n, fix_first=True)[:, :, None] * x``,
+    yielded as consecutive blocks of ``len(out)`` = 2^bits (at most
+    2^(n - 1)) signatures: the first block in an array of its own, each
+    later one written into ``out``.
+
+    Row i of S X is s_i times row i of X, and signature b 2^bits + c has
+    s_(j+1) = -1 for each bit j set in c, and s_(bits+1+h) = -1 for each
+    bit h set in b.  The first block is built once, by doubling: rows
+    [2^j, 2^(j+1)) of it are rows [0, 2^j) with row j + 1 of each matrix
+    negated.  Block b is the first with rows bits + 1 + h negated.  Sign
+    flips are exact, so every block is bitwise its slice of the
+    product."""
+    bits = len(out).bit_length() - 1
+    high = len(x) - 1 - bits
+    first = np.empty_like(out)
+    first[0] = x
+    for j in range(bits):
+        flip = first[1 << j:2 << j, j + 1]
+        first[1 << j:2 << j] = first[:1 << j]
+        np.negative(flip, out=flip)
+    yield first
+    for b in range(1, 1 << high):
+        np.copyto(out, first)
+        for h in range(high):
+            if b >> h & 1:
+                np.negative(out[:, bits + 1 + h], out=out[:, bits + 1 + h])
+        yield out
 
 
 def signature_systems(a: np.ndarray, scale: float = 1.0):
@@ -317,16 +361,19 @@ def _hadamard(k: int) -> np.ndarray:
 def _principal_blocks(n: int):
     """|J| for every subset J of range(n) in ``signature_stack(n)`` order
     (i in J iff s_i = -1), and for each block size k = 1..n the positions
-    of the subsets with |J| = k and the row and column indices that
-    gather their blocks A_JJ as one (positions, k, k) stack; cached,
-    sizes read-only."""
+    of the subsets with |J| = k and the flat row-major indices
+    n j_r + j_c (j_r, j_c in J) that gather their blocks A_JJ as one
+    (positions, k, k) stack; cached, read-only."""
     inside = signature_stack(n) < 0
     sizes = inside.sum(axis=1)
     groups = []
     for k in range(1, n + 1):
         rows = np.flatnonzero(sizes == k)
         members = inside[rows].nonzero()[1].reshape(len(rows), k)
-        groups.append((rows, members[:, :, None], members[:, None, :]))
+        flat = members[:, :, None] * n + members[:, None, :]
+        rows.setflags(write=False)
+        flat.setflags(write=False)
+        groups.append((rows, flat))
     sizes.setflags(write=False)
     return sizes, tuple(groups)
 
@@ -344,33 +391,53 @@ def _principal_minors(a: np.ndarray):
 
 @lru_cache(maxsize=1)
 def _minors_of(n: int, data: bytes):
-    """``_principal_minors`` of the row-major bytes of an n x n matrix."""
-    a = np.frombuffer(data).reshape(n, n)
+    """``_principal_minors`` of the row-major bytes of an n x n matrix:
+    each block stack is one gather of those bytes at the flat indices of
+    ``_principal_blocks(n)``."""
+    entries = np.frombuffer(data)
     sizes, groups = _principal_blocks(n)
     minors = np.ones(len(sizes))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, r, c in groups:
-            minors[rows] = np.linalg.det(a[r, c])
+        for rows, flat in groups:
+            minors[rows] = np.linalg.det(entries[flat])
     minors.setflags(write=False)
     return minors, sizes
+
+
+@lru_cache(maxsize=None)
+def _half_positions(n: int):
+    """For the high and the low half of range(n) (i >= n//2, i < n//2) a
+    ``signature_stack`` of the half as positions into 2n row entries: i
+    at s_i = +1, n + i at s_i = -1; cached, read-only."""
+    low = n // 2
+    halves = tuple(np.where(signature_stack(k) < 0, n, 0) + np.arange(first, first + k)
+                   for k, first in ((n - low, low), (low, 0)))
+    for half in halves:
+        half.setflags(write=False)
+    return halves
 
 
 def _threshold_rows(a: np.ndarray):
     """What ``_signature_thresholds`` reads of A, fixed for a whole
     search: -a_ii then a_ii, the off-diagonal sums off_i = sum_{j != i}
     |a_ij| (summed in row-major order whatever the layout of ``a``)
-    twice, and for the high and the low half of the indices
-    (i >= n//2, i < n//2) a ``signature_stack`` of the half as positions
-    into those 2n entries: i at s_i = +1, n + i at s_i = -1."""
+    twice, and ``_half_positions(n)``."""
     n = a.shape[0]
-    low = n // 2
     off = np.abs(a, order="C")
     off.reshape(-1)[::n + 1] = 0.0
     off = off.sum(axis=1)
     diag = np.diagonal(a)
-    halves = tuple(np.where(signature_stack(k) < 0, n, 0) + np.arange(first, first + k)
-                   for k, first in ((n - low, low), (low, 0)))
-    return np.concatenate([-diag, diag]), np.concatenate([off, off]), halves
+    return np.concatenate([-diag, diag]), np.concatenate([off, off]), _half_positions(n)
+
+
+def _row_norms(rows, t: float) -> np.ndarray:
+    """The absolute row sums |1 - a_ii s_i / t| + off_i / t of I - (A/t)S:
+    entry i for s_i = +1, entry n + i for s_i = -1; ``rows`` is
+    ``_threshold_rows(a)``."""
+    signed_diag, off, _halves = rows
+    # 1 + (-a_ii / t) is 1 - x and 1 + a_ii / t is x + 1, bit for bit as
+    # on the diagonal of I - (A/t)S.
+    return np.abs(1.0 + signed_diag / t) + off / t
 
 
 def _signature_thresholds(rows, t: float):
@@ -380,25 +447,19 @@ def _signature_thresholds(rows, t: float):
     layer: a system counts as singular when its determinant is at most
     ``threshold_of_norms(||I - (A/t)S||_inf)``.
 
-    Row i of I - (A/t)S has absolute sum |1 - a_ii s_i / t| + off_i / t,
-    so the norm is read off the diagonals, and its max over the rows
-    splits into a max over the low rows, set by the low bits of S alone,
-    and one over the high rows.  It equals ``pivot_threshold`` of the
-    matrix up to rounding."""
-    signed_diag, off, halves = rows
-    # 1 + (-a_ii / t) is 1 - x and 1 + a_ii / t is x + 1, bit for bit as
-    # on the diagonal of I - (A/t)S.
-    norms = np.abs(1.0 + signed_diag / t) + off / t
-    hi_max, lo_max = [norms[half].max(axis=1, initial=0.0) for half in halves]
+    The norm is the max over the rows of ``_row_norms``, each read at
+    s_i, and that max splits into a max over the low rows, set by the low
+    bits of S alone, and one over the high rows.  It equals
+    ``pivot_threshold`` of the matrix up to rounding."""
+    norms = _row_norms(rows, t)
+    hi_max, lo_max = [norms[half].max(axis=1, initial=0.0) for half in rows[2]]
     return threshold_of_norms(np.maximum.outer(hi_max, lo_max))
 
 
-def _expanded_systems(minors, sizes, rows, t: float):
-    """det(I - (A/t)S) over all signatures S by the minor expansion, and
-    ``_signature_thresholds(rows, t)``, both shaped
-    (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order.
-    ``minors, sizes`` are ``_principal_minors(a)`` and ``rows`` is
-    ``_threshold_rows(a)``.
+def _expanded_dets(minors, sizes, t: float) -> np.ndarray:
+    """det(I - (A/t)S) over all signatures S by the minor expansion,
+    shaped (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order;
+    ``minors, sizes`` are ``_principal_minors(a)``.
 
     det(I - (A/t)S) = sum_J (-1/t)^|J| det(A_JJ) prod_{j in J} s_j and
     prod_{j in J} s_j = (-1)^popcount(S & J), so the determinants are one
@@ -408,11 +469,41 @@ def _expanded_systems(minors, sizes, rows, t: float):
     1e14^12 = 1e168 at t >= ``pivot_threshold(a)`` and n <= 12.  That
     bounds c_J, not det(A_JJ): a minor itself overflows once
     ||A||_inf^|J| passes the float range."""
-    n = len(rows[1]) // 2
+    n = len(minors).bit_length() - 1
     low = n // 2
     c = minors * np.power(-1.0 / t, np.arange(n + 1))[sizes]
-    dets = _hadamard(n - low) @ c.reshape(1 << (n - low), 1 << low) @ _hadamard(low)
-    return dets, _signature_thresholds(rows, t)
+    return _hadamard(n - low) @ c.reshape(1 << (n - low), 1 << low) @ _hadamard(low)
+
+
+def _expanded_systems(minors, sizes, rows, t: float):
+    """``_expanded_dets(minors, sizes, t)`` and
+    ``_signature_thresholds(rows, t)``, both shaped
+    (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order."""
+    return _expanded_dets(minors, sizes, t), _signature_thresholds(rows, t)
+
+
+def _admissible(minors, sizes, rows, t: float) -> bool:
+    """Whether every det(I - (A/t)S) of the minor expansion clears its
+    threshold: ``(dets > thr).all()`` for ``_expanded_systems(minors,
+    sizes, rows, t)``.
+
+    Every threshold lies between the two that the extreme norms give:
+    ||I - (A/t)S||_inf is at most the largest of the 2n ``_row_norms``,
+    and at least max_i min(norm_i(+1), norm_i(-1)), which S attains by
+    picking the smaller norm in every row.  ``threshold_of_norms`` is
+    monotone and max and min are exact, so the smallest determinant
+    settles the verdict wherever it lies above the largest threshold
+    (True) or at or below the smallest (False); only between them are
+    the 2^n thresholds built."""
+    dets = _expanded_dets(minors, sizes, t)
+    least = dets.min()
+    norms = _row_norms(rows, t)
+    n = len(norms) // 2
+    if least > threshold_of_norms(norms.max()):
+        return True
+    if least <= threshold_of_norms(np.minimum(norms[:n], norms[n:]).max()):
+        return False
+    return bool((dets > _signature_thresholds(rows, t)).all())
 
 
 def rho_sr_bisect(a, tol: float = 1e-8) -> float:
@@ -426,15 +517,19 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
 
     Admissibility is tested on the principal-minor expansion of
-    det(I - (A/t)S) (``_expanded_systems``), not on an LU of each matrix:
-    the 2^n minors det(A_JJ) come from ``_principal_minors``, one LAPACK
-    det call per block size and shared with
-    ``det_positive_all_signatures`` on the same matrix, and each test at
-    a new t is one Walsh-Hadamard transform of them, against
-    ``_signature_thresholds``.  Returns the midpoint of the final
+    det(I - (A/t)S) (``_admissible``), not on an LU of each matrix: the
+    2^n minors det(A_JJ) come from ``_principal_minors``, one LAPACK det
+    call per block size and shared with ``det_positive_all_signatures``
+    on the same matrix, and each test at a new t is one Walsh-Hadamard
+    transform of them (``_expanded_dets``).  Its smallest determinant is
+    compared with the largest and the smallest threshold over all
+    signatures first; the 2^n thresholds of ``_signature_thresholds`` are
+    built only where it lies between the two, and every verdict is that
+    of the full comparison.  Returns the midpoint of the final
     bracket, of width <= tol, or <= 4 ulp(hi) where that is wider, after
     ceil(log2((hi - lo) / tol)) bisection steps.  Raises
-    ValueError when ||A||_inf or a minor overflows.
+    ValueError when 2||A||_inf or a minor overflows: the bracket and its
+    midpoints stay finite below that.
     Independent of the enumeration route.
     """
     a = as_square_matrix(a)
@@ -445,25 +540,20 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     if norm == 0.0:
         return 0.0
     minors, sizes = _principal_minors(a)
-    if not (np.isfinite(norm) and np.isfinite(minors).all()):
-        raise ValueError("rho_sr_bisect: ||A||_inf or a principal minor of A "
+    if not (np.isfinite(2.0 * norm) and np.isfinite(minors).all()):
+        raise ValueError("rho_sr_bisect: 2||A||_inf or a principal minor of A "
                          "overflows; scale A down")
     rows = _threshold_rows(a)
-
-    def admissible(t: float) -> bool:
-        dets, thr = _expanded_systems(minors, sizes, rows, t)
-        return bool((dets > thr).all())
-
     lo = pivot_threshold(a)
-    if admissible(lo):
+    if _admissible(minors, sizes, rows, lo):
         return 0.0
-    lo, hi = (lo, norm) if admissible(norm) else (norm, 2.0 * norm)
+    lo, hi = (lo, norm) if _admissible(minors, sizes, rows, norm) else (norm, 2.0 * norm)
     # No bracket gets narrower than a few ulps of hi, so a tol below that
     # would never be met.
     tol = max(tol, 4.0 * float(np.spacing(hi)))
     while hi - lo > tol:
         t = 0.5 * (lo + hi)
-        if admissible(t):
+        if _admissible(minors, sizes, rows, t):
             hi = t
         else:
             lo = t

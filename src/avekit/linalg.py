@@ -414,7 +414,10 @@ def max_abs_real_roots(polys: np.ndarray, bound: float, tol: float = 1e-12) -> f
     # axis would not.
     coef, v_hi, v_lo = np.compress(live, coef, axis=2), v_hi[live], v_lo[live]
     top = bound * (1.0 + 1e-9)
-    steps = min(int(np.ceil(np.log2(max(top / max(tol, 1e-300), 4.0)))) + 2, 200)
+    # At most 200 steps, which any ratio from 2^198 on reaches; top / tol
+    # may overflow to inf there.
+    ratio = top / max(tol, 1e-300)
+    steps = 200 if ratio >= 2.0 ** 198 else int(np.ceil(np.log2(max(ratio, 4.0)))) + 2
     # The bracket [lo, hi] in grid units top * 2^-steps; hi - lo is a power
     # of two, and Python integers keep every grid point exact.
     lo, hi = 0, 1 << steps

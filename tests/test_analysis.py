@@ -234,7 +234,7 @@ class TestSignaturePruning:
         signs = an.signature_stack(a.shape[0], fix_first=True)
         for j in (0, 40, -40):
             scaled = np.ldexp(a, j)
-            bounds = an._radius_bounds(scaled, signs, la.infinity_norm(scaled))
+            bounds = an._radius_bounds(scaled, la.infinity_norm(scaled))
             radii = [np.abs(np.linalg.eigvals(s[:, None] * scaled)).max() for s in signs]
             assert (bounds >= radii).all(), name
 
@@ -243,12 +243,11 @@ class TestSignaturePruning:
         # The bound squares 2^-e S A, ||2^-e A||_inf in [1/2, 1): nothing
         # overflows or underflows, so it is exactly homogeneous.
         a = PRUNING_CASES[index]
-        signs = an.signature_stack(a.shape[0], fix_first=True)
-        bounds = an._radius_bounds(a, signs, la.infinity_norm(a))
+        bounds = an._radius_bounds(a, la.infinity_norm(a))
         assert np.isfinite(bounds).all()
         for j in (-60, -20, 20, 60):
             scaled = np.ldexp(a, j)
-            got = an._radius_bounds(scaled, signs, la.infinity_norm(scaled))
+            got = an._radius_bounds(scaled, la.infinity_norm(scaled))
             assert got.tobytes() == np.ldexp(bounds, j).tobytes()
 
     def test_searches_few_signatures(self, monkeypatch):
@@ -278,6 +277,57 @@ class TestSignaturePruning:
             assert an.rho_sr_enum(a) == la.max_abs_real_roots(half_stack(a), la.infinity_norm(a),
                                                               1e-10)
         assert calls == []
+
+
+def unblocked_bounds(a, norm):
+    """_radius_bounds by one squaring of the whole half-stack
+    signature_stack(n, True)[:, :, None] * 2^-e A, with no blocks."""
+    n = a.shape[0]
+    k = 1 << an._SQUARINGS
+    e = math.frexp(norm)[1]
+    x = np.ldexp(a, -e)
+    powers = an.signature_stack(n, fix_first=True)[:, :, None] * x[None, :, :]
+    absolute = np.abs(x)
+    for _ in range(an._SQUARINGS):
+        powers = powers @ powers
+        absolute = absolute @ absolute
+    eps = np.finfo(float).eps
+    slack = 2 * k * n * eps * la.infinity_norm(absolute) + k * n * np.finfo(float).tiny
+    norms = np.einsum("kij->ki", np.abs(powers)).max(axis=1)
+    return np.ldexp((norms + slack) ** (1.0 / k) * (1.0 + 4 * eps), e)
+
+
+class TestBlockedBounds:
+    """_radius_bounds squares the half-stack 2^_BLOCK_BITS signatures at a
+    time; its bounds are those of the whole stack bit for bit, whatever
+    the block size."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, None])
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_bounds_are_the_whole_stack_bounds(self, monkeypatch, n, bits):
+        if bits is not None:
+            monkeypatch.setattr(an, "_BLOCK_BITS", bits)
+        u = np.random.default_rng(1000 + n).uniform(-1.0, 1.0, (n, n))
+        cases = {"random": u, "zero": np.zeros((n, n)), "nilpotent": np.triu(u, 1),
+                 "1.1 I": 1.1 * np.eye(n)}
+        for name, a in cases.items():
+            for j in (0, 60, -60):
+                scaled = np.ldexp(a, j)
+                norm = la.infinity_norm(scaled)
+                got = an._radius_bounds(scaled, norm)
+                assert got.tobytes() == unblocked_bounds(scaled, norm).tobytes(), (name, j)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_blocks_are_the_signed_stack(self, n):
+        # Every block size from one signature to the whole half-stack, on
+        # a matrix with zero entries, whose signs flip too.
+        x = random_matrix(1100 + n, n)
+        x[np.random.default_rng(1100 + n).random((n, n)) < 0.3] = 0.0
+        want = an.signature_stack(n, fix_first=True)[:, :, None] * x
+        for bits in range(n):
+            out = np.empty((1 << bits, n, n))
+            got = np.concatenate([block.copy() for block in an._signed_blocks(x, out)])
+            assert got.tobytes() == want.tobytes(), bits
 
 
 class TestRhoSrBisect:
@@ -413,16 +463,15 @@ def plain_bisection(a, tol, log=None):
 @pytest.fixture
 def sweeps(monkeypatch):
     """Whether each expansion sweep of rho_sr_bisect found every signature
-    admissible."""
+    admissible: the verdicts of its ``_admissible`` calls."""
     log = []
-    expanded = an._expanded_systems
+    admissible = an._admissible
 
     def recording(*args, **kwargs):
-        out = expanded(*args, **kwargs)
-        log.append(bool((out[0] > out[1]).all()))
-        return out
+        log.append(admissible(*args, **kwargs))
+        return log[-1]
 
-    monkeypatch.setattr(an, "_expanded_systems", recording)
+    monkeypatch.setattr(an, "_admissible", recording)
     return log
 
 
@@ -654,6 +703,67 @@ class TestCriticalSignatureSearch:
         assert abs(an.rho_sr_enum(a, tol=1e-10) - an.rho_sr_bisect(a, tol=tol)) <= 2 * tol
 
 
+@pytest.fixture
+def full_rule_verdicts(monkeypatch):
+    """Each verdict of _admissible, checked against the full rule
+    (dets > thr).all() on ``_expanded_systems`` at the same t."""
+    log = []
+    admissible = an._admissible
+
+    def checked(minors, sizes, rows, t):
+        verdict = admissible(minors, sizes, rows, t)
+        dets, thr = an._expanded_systems(minors, sizes, rows, t)
+        assert verdict == bool((dets > thr).all()), t
+        log.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(an, "_admissible", checked)
+    return log
+
+
+class TestThresholdEnvelope:
+    """_admissible settles a step on the smallest and the largest
+    threshold wherever they decide it, and gives the verdict of all 2^n
+    thresholds at every step."""
+
+    def test_criterion_10_matrices(self, full_rule_verdicts):
+        for i in range(200):
+            an.rho_sr_bisect(random_matrix(90_000 + i, 2 + i % 5), tol=1e-8)
+        assert True in full_rule_verdicts and False in full_rule_verdicts
+
+    @pytest.mark.parametrize("cls, nu", [
+        ("norm_lt_half", None), ("irreducible_half", None), ("sdd_two_thirds", None),
+        ("tridiag_abs_sym", None), ("unconstrained", 0.9), ("unconstrained", 1.5),
+        ("unconstrained", 4.0),
+    ])
+    def test_analyze_rho_n12_matrices(self, full_rule_verdicts, cls, nu):
+        an.rho_sr_bisect(pr.random_instance(cls, 12, 21, nu=nu)[0].a, tol=1e-10)
+        assert len(full_rule_verdicts) >= 30
+
+    @pytest.mark.parametrize("t, verdict", [
+        ("0x1.3ec521a4093e0p+0", False),
+        ("0x1.3ec521a4093f2p+0", True),
+    ])
+    def test_minimum_between_the_extremes_takes_every_threshold(self, monkeypatch, t, verdict):
+        # random_matrix(0, 2) just above its rho^R: the smallest determinant
+        # lies strictly between the smallest and the largest threshold, so
+        # neither extreme decides; at the first t some other signature's
+        # determinant is at or below its own threshold.
+        a = random_matrix(0, 2)
+        t = float.fromhex(t)
+        minors, sizes = an._principal_minors(a)
+        rows = an._threshold_rows(a)
+        dets, thr = an._expanded_systems(minors, sizes, rows, t)
+        assert thr.min() < dets.min() <= thr.max(), "no longer inside the band on this BLAS"
+        assert bool((dets > thr).all()) == verdict
+        built = []
+        thresholds = an._signature_thresholds
+        monkeypatch.setattr(an, "_signature_thresholds",
+                            lambda *args: built.append(1) or thresholds(*args))
+        assert an._admissible(minors, sizes, rows, t) == verdict
+        assert built == [1]
+
+
 def lapack_verdict(a):
     """Whether every LAPACK det of ``signature_systems(a)`` clears its
     threshold; quiet where they overflow."""
@@ -765,6 +875,24 @@ class TestOverflow:
         with pytest.raises(ValueError, match="rho_sr_enum"):
             an.rho_sr_enum(a)
         with pytest.raises(ValueError, match="rho_sr_bisect"):
+            an.rho_sr_bisect(a)
+
+    @pytest.mark.parametrize("a", [[[1e299]], [[1e300, 0.0], [0.0, 1.0]]])
+    def test_norm_far_above_tol_is_a_number(self, a):
+        # top / tol overflowed to inf in the root search's step count.
+        a = np.array(a)
+        assert an.rho_sr_enum(a) == pytest.approx(a[0, 0], rel=1e-12)
+        assert an.rho_sr_bisect(a, tol=1e-10) == pytest.approx(a[0, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("a", [[[9e307]], [[9e307, 0.0], [0.0, 1.0]],
+                                   [[np.finfo(float).max]]])
+    def test_overflowing_bracket_raises(self, a):
+        # 2||A||_inf overflows: bisection's bracket [||A||_inf, inf] had
+        # inf midpoints and never ended.
+        a = np.array(a)
+        with pytest.raises(ValueError, match="rho_sr_enum: 2"):
+            an.rho_sr_enum(a)
+        with pytest.raises(ValueError, match="rho_sr_bisect: 2"):
             an.rho_sr_bisect(a)
 
     def test_large_finite_scale_is_unchanged(self):

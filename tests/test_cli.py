@@ -1,5 +1,9 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +277,37 @@ class TestAnalyze:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "overflows" in errors[0]
+
+    @pytest.mark.parametrize("a, radius", [
+        ([[1e299]], 1e299),
+        ([[1e300, 0.0], [0.0, 1.0]], 1e300),
+        ([[9e307]], None),
+        ([[9e307, 0.0], [0.0, 1.0]], None),
+        ([[np.finfo(float).max]], None),
+    ])
+    @pytest.mark.parametrize("rho", ["enum", "bisect"])
+    def test_top_of_the_float_range_ends_cleanly(self, tmp_path, a, radius, rho):
+        # These once printed a traceback (enum: an inf step count) or ran
+        # until killed (bisect: the bracket [||A||_inf, inf]).  Where
+        # 2||A||_inf overflows both radii are one error line.
+        a = np.array(a)
+        path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(len(a))))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "from avekit.cli import entrypoint; entrypoint()",
+             "analyze", path, "--rho", rho],
+            capture_output=True, text=True, timeout=60, env=env)
+        if radius is None:
+            assert done.returncode == 1 and done.stdout == ""
+            assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+            assert "overflows" in done.stderr
+        else:
+            assert done.returncode == 0 and done.stderr == "", done.stderr
+            data = json.loads(done.stdout, parse_constant=lambda name: pytest.fail(name))
+            got = data[f"rho_sr_{rho}"]
+            assert math.isfinite(got) and got == pytest.approx(radius, rel=1e-12)
 
     @pytest.mark.parametrize("cls, sizes, seeds", [
         *[(cls, range(3, 7), range(20, 31))
