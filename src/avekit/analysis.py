@@ -177,83 +177,78 @@ def rho_sr_enum(a, tol: float = 1e-10) -> float:
     eigenvalue| values, so half the enumeration suffices (verified as a
     unit test rather than assumed silently).
 
+    Runs on X = 2^-e A, e = frexp(||A||_inf)[1], with tol 2^-e, and
+    returns 2^e times that result: exact, as rho^R(cA) = c rho^R(A), so
+    ``tol`` is in A's units.  ||X||_inf is in [1/2, 1), so no coefficient
+    of a characteristic polynomial exceeds C(12, 6) = 924.  Raises
+    ValueError when ||A||_inf overflows.
+
     Only the signatures that can hold the maximum are searched.  Each one
-    gets a proven upper bound on rho(S A) (``_radius_bounds``); the
+    gets a proven upper bound on rho(S X) (``_radius_bounds``); the
     ``_CANDIDATES`` largest are searched first, by characteristic
     polynomials and Sturm bisection, which gives r.  A signature whose
     bound is below r - tol has no real eigenvalue within tol of r, so it
     cannot hold the maximum and is dropped unsearched; any other joins
     the search, which runs again until no unsearched bound reaches
-    r - tol.
-    So every signature is searched or excluded by a proof, and the
-    result is that of the search over the whole half-stack.  Half-stacks
-    of fewer than ``_PRUNED_FROM`` signatures are searched whole.
-
-    Raises ValueError when 2||A||_inf overflows, or when a characteristic
-    polynomial coefficient of a searched signature does (only those are
-    computed).
+    r - tol.  So every signature is searched or excluded by a proof, and
+    the result is that of the search over the whole half-stack.
+    Half-stacks of fewer than ``_PRUNED_FROM`` signatures are searched
+    whole.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "rho_sr_enum")
     with np.errstate(over="ignore"):
-        # ||S A||_inf == ||A||_inf for every signature, so one bound serves all.
         norm = infinity_norm(a)
-    if not np.isfinite(2.0 * norm):
-        raise ValueError("rho_sr_enum: 2||A||_inf overflows; scale A down")
+    if not math.isfinite(norm):
+        raise ValueError("rho_sr_enum: ||A||_inf overflows")
+    e = math.frexp(norm)[1]
+    # ||S X||_inf = ||X||_inf for every S: one bound serves all.  A tol
+    # over ||A||_inf, met by any result, is capped so 2^-e tol is finite.
+    x, norm, tol = np.ldexp(a, -e), math.ldexp(norm, -e), math.ldexp(min(tol, norm), -e)
     signs = signature_stack(n, fix_first=True)
     if len(signs) < _PRUNED_FROM:
-        return _largest_real_root(a, signs, norm, tol)
-    bounds = _radius_bounds(a, norm)
+        return math.ldexp(_largest_real_root(x, signs, norm, tol), e)
+    bounds = _radius_bounds(x)
     searched = np.zeros(len(signs), dtype=bool)
     rows = np.argpartition(bounds, -_CANDIDATES)[-_CANDIDATES:]
     while rows.size:
         searched[rows] = True
-        r = _largest_real_root(a, signs[searched], norm, tol)
+        r = _largest_real_root(x, signs[searched], norm, tol)
         # A row is dropped only where its bound proves it.
         rows = np.flatnonzero(~(searched | (bounds < r - tol)))
-    return r
+    return math.ldexp(r, e)
 
 
-def _largest_real_root(a: np.ndarray, signs: np.ndarray, norm: float, tol: float) -> float:
-    """max_S rho_0(S A) over the signatures ``signs`` (rows), by
+def _largest_real_root(x: np.ndarray, signs: np.ndarray, norm: float, tol: float) -> float:
+    """max_S rho_0(S X) over the signatures ``signs`` (rows), by
     ``char_polys_stack`` and ``max_abs_real_roots``; ``norm`` is
-    ||A||_inf.  Raises ValueError when a coefficient overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        polys = char_polys_stack(signs[:, :, None] * a[None, :, :])
-    if not np.isfinite(polys).all():
-        raise ValueError("rho_sr_enum: a characteristic polynomial coefficient "
-                         "of S*A overflows; scale A down")
-    return max_abs_real_roots(polys, norm, tol)
+    ||X||_inf."""
+    return max_abs_real_roots(char_polys_stack(signs[:, :, None] * x[None, :, :]), norm, tol)
 
 
-def _radius_bounds(a: np.ndarray, norm: float) -> np.ndarray:
-    """An upper bound on rho(S A) for each signature S of
-    ``signature_stack(n, fix_first=True)``, in its order; ``norm`` is
-    ||A||_inf, finite.
+def _radius_bounds(x: np.ndarray) -> np.ndarray:
+    """An upper bound on rho(S X) for each signature S of
+    ``signature_stack(n, fix_first=True)``, in its order, for
+    ``rho_sr_enum``'s X, ||X||_inf in [1/2, 1): no power of S X overflows.
 
-    rho(X) <= ||X^k||_inf^(1/k) for any k; here k = 2^q with q =
-    ``_SQUARINGS``, and X^k comes from q batched squarings of the stack
-    X = 2^-e S A, e = frexp(||A||_inf)[1].  The scaling is exact and puts
-    ||X||_inf in [1/2, 1), so no power overflows, and the bounds scale
-    exactly with A under powers of two.  The stack is squared one block
-    of ``_signed_blocks`` at a time, in two buffers reused for every
-    block; each matrix goes through the same products and row sums as in
-    a squaring of the whole stack, so the bounds do not depend on the
-    block size.
+    rho(Y) <= ||Y^k||_inf^(1/k) for any k; here k = 2^q with q =
+    ``_SQUARINGS``, and (S X)^k comes from q batched squarings of the
+    stack.  The stack is squared one block of ``_signed_blocks`` at a
+    time, in two buffers reused for every block; each matrix goes
+    through the same products and row sums as in a squaring of the whole
+    stack, so the bounds do not depend on the block size.
 
-    Squaring in floating point, the computed X^k lies within
+    Squaring in floating point, the computed (S X)^k lies within
     ((1 + gamma_n)^(k - 1) - 1) |X|^k, about (k - 1) n u |X|^k, of the
     exact power, entrywise (u = eps/2, gamma_n = n u / (1 - n u)), and
-    |X| = |2^-e A| for every S.  So ||X^k||_inf is at most
-    the computed row-sum maximum plus one rounding term for the whole
-    stack, 2 k n eps || |2^-e A|^k ||_inf, which also covers the rounding
-    of |A|'s own squarings and of the row sums, plus k n 2^-1022 for
-    underflow.  The k-th root is rounded up by a factor 1 + 4 eps."""
-    n = a.shape[0]
+    |S X| = |X| for every S.  So ||(S X)^k||_inf is at most the computed
+    row-sum maximum plus one rounding term for the whole stack,
+    2 k n eps || |X|^k ||_inf, which also covers the rounding of |X|'s
+    own squarings and of the row sums, plus k n 2^-1022 for underflow.
+    The k-th root is rounded up by a factor 1 + 4 eps."""
+    n = x.shape[0]
     k = 1 << _SQUARINGS
-    e = math.frexp(norm)[1]
-    x = np.ldexp(a, -e)
     absolute = np.abs(x)
     for _ in range(_SQUARINGS):
         absolute = absolute @ absolute
@@ -267,7 +262,7 @@ def _radius_bounds(a: np.ndarray, norm: float) -> np.ndarray:
             block = np.matmul(block, block, out=(spare, signed)[q % 2])
         np.abs(block, out=block)
         np.einsum("kij->ki", block).max(axis=1, out=norms[b * size:(b + 1) * size])
-    return np.ldexp((norms + slack) ** (1.0 / k) * (1.0 + 4 * eps), e)
+    return (norms + slack) ** (1.0 / k) * (1.0 + 4 * eps)
 
 
 def _signed_blocks(x: np.ndarray, out: np.ndarray):
@@ -324,19 +319,22 @@ def det_positive_all_signatures(a) -> bool:
     """True iff LAPACK's det(I - AS) clears the singularity threshold of
     ``signature_systems(a)`` for all S.
 
-    The determinants are read off the principal minors of A by the minor
-    expansion at t = 1 (``_expanded_systems``), which lies within
-    e = 16 n eps prod_i (1 + r_i) of LAPACK's, r_i the row sums of |A|.
-    A determinant below its threshold by more than e settles False, all of
-    them above by more than e settle True; otherwise, and wherever a value
-    is not finite, the verdict is that of the LAPACK sweep over
-    ``signature_systems(a)``."""
+    The determinants come from the minors of rho_sr_bisect's X = 2^-e A,
+    computed once for both, by the expansion at t = 2^-e
+    (``_expanded_systems``), as (X/t)S is AS bitwise.  That lies within
+    d = 16 n eps prod_i (1 + r_i) of LAPACK's, r_i the row sums of |A|.
+    A determinant below its threshold by more than d settles False, all
+    above by more than d settle True; otherwise, and wherever a value is
+    not finite, the LAPACK sweep of ``signature_systems(a)`` decides."""
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "det_positive_all_signatures")
-    minors, sizes = _principal_minors(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        dets, thr = _expanded_systems(minors, sizes, _threshold_rows(a), 1.0)
+        # e = 0 if ||A||_inf overflows; 2^-e = inf (every det 1) below 2^-1024.
+        e = math.frexp(infinity_norm(a))[1]
+        x = np.ldexp(a, -e)
+        minors, sizes = _principal_minors(x)
+        dets, thr = _expanded_systems(minors, sizes, _threshold_rows(x), float(np.ldexp(1.0, -e)))
         slack = 16 * n * np.finfo(float).eps * np.prod(1.0 + np.abs(a).sum(axis=1))
         if np.isfinite(slack) and np.isfinite(dets).all():
             if (dets < thr - slack).any():
@@ -384,8 +382,8 @@ def _principal_minors(a: np.ndarray):
     LAPACK det call per block size k over the gathered k x k blocks, so
     each minor is exactly ``np.linalg.det(a[np.ix_(J, J)])``.  The last
     matrix's minors are kept, so the callers on one matrix compute them
-    once; read-only.  A minor overflows to inf or nan once ||A||_inf^|J|
-    passes the float range; callers check."""
+    once; read-only.  The callers pass a prescaled X = 2^-e A, ||X||_inf
+    < 1, so by Hadamard's inequality no minor exceeds 1 in magnitude."""
     return _minors_of(a.shape[0], a.tobytes())
 
 
@@ -464,11 +462,11 @@ def _expanded_dets(minors, sizes, t: float) -> np.ndarray:
     det(I - (A/t)S) = sum_J (-1/t)^|J| det(A_JJ) prod_{j in J} s_j and
     prod_{j in J} s_j = (-1)^popcount(S & J), so the determinants are one
     Walsh-Hadamard transform of c_J = (-1/t)^|J| det(A_JJ), applied as
-    H_hi C H_lo with C = c split into its high and low index bits.  Given
-    finite minors no term overflows: |c_J| <= (||A||_inf / t)^|J|, below
-    1e14^12 = 1e168 at t >= ``pivot_threshold(a)`` and n <= 12.  That
-    bounds c_J, not det(A_JJ): a minor itself overflows once
-    ||A||_inf^|J| passes the float range."""
+    H_hi C H_lo with C = c split into its high and low index bits.  The
+    minors are those of a prescaled X, ||X||_inf < 1, so |c_J| <= t^-|J|:
+    below 1e14^12 = 1e168 at rho_sr_bisect's t >= ``pivot_threshold(x)``
+    and n <= 12.  At det_positive_all_signatures' t = 2^-e the power
+    overflows once n e reaches 1024, and that caller checks."""
     n = len(minors).bit_length() - 1
     low = n // 2
     c = minors * np.power(-1.0 / t, np.arange(n + 1))[sizes]
@@ -509,42 +507,43 @@ def _admissible(minors, sizes, rows, t: float) -> bool:
 def rho_sr_bisect(a, tol: float = 1e-8) -> float:
     """Sign-real spectral radius by determinant positivity.
 
-    Uses the equivalence rho^R(A/t) < 1 iff det(I - (A/t)S) > 0 for all
+    Runs on X = 2^-e A with tol 2^-e and returns 2^e times that result,
+    as ``rho_sr_enum`` does, so the bracket and every minor stay finite.
+    It uses the equivalence rho^R(X/t) < 1 iff det(I - (X/t)S) > 0 for all
     signatures S, and bisects on t between an inadmissible ``lo`` and an
-    admissible ``hi``.  The lower bracket is ``pivot_threshold(A)``; if
+    admissible ``hi``.  The lower bracket is ``pivot_threshold(X)``; if
     every signature passes there the result is 0.  The upper bracket is
-    ||A||_inf, or 2||A||_inf if the threshold band rejects it (at
-    rho^R = ||A||_inf): there rho((A/t)S) <= 1/2 gives det >= 2^-n.
+    ||X||_inf, or 2||X||_inf if the threshold band rejects it (at
+    rho^R = ||X||_inf): there rho((X/t)S) <= 1/2 gives det >= 2^-n.
 
     Admissibility is tested on the principal-minor expansion of
-    det(I - (A/t)S) (``_admissible``), not on an LU of each matrix: the
-    2^n minors det(A_JJ) come from ``_principal_minors``, one LAPACK det
+    det(I - (X/t)S) (``_admissible``), not on an LU of each matrix: the
+    2^n minors det(X_JJ) come from ``_principal_minors``, one LAPACK det
     call per block size and shared with ``det_positive_all_signatures``
     on the same matrix, and each test at a new t is one Walsh-Hadamard
     transform of them (``_expanded_dets``).  Its smallest determinant is
     compared with the largest and the smallest threshold over all
     signatures first; the 2^n thresholds of ``_signature_thresholds`` are
     built only where it lies between the two, and every verdict is that
-    of the full comparison.  Returns the midpoint of the final
-    bracket, of width <= tol, or <= 4 ulp(hi) where that is wider, after
-    ceil(log2((hi - lo) / tol)) bisection steps.  Raises
-    ValueError when 2||A||_inf or a minor overflows: the bracket and its
-    midpoints stay finite below that.
-    Independent of the enumeration route.
+    of the full comparison.  Returns the midpoint of the final bracket,
+    of width <= tol, or <= 4 ulp(hi) where that is wider, after
+    ceil(log2((hi - lo) / tol)) bisection steps, clamped to ||X||_inf >=
+    rho^R(X).  Raises ValueError when ||A||_inf overflows.  Independent
+    of the enumeration route.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "rho_sr_bisect")
     with np.errstate(over="ignore"):
         norm = infinity_norm(a)
-    if norm == 0.0:
-        return 0.0
-    minors, sizes = _principal_minors(a)
-    if not (np.isfinite(2.0 * norm) and np.isfinite(minors).all()):
-        raise ValueError("rho_sr_bisect: 2||A||_inf or a principal minor of A "
-                         "overflows; scale A down")
-    rows = _threshold_rows(a)
-    lo = pivot_threshold(a)
+    if not math.isfinite(norm):
+        raise ValueError("rho_sr_bisect: ||A||_inf overflows")
+    e = math.frexp(norm)[1]
+    # A tol over ||A||_inf, met by any result, is capped so 2^-e tol is finite.
+    x, norm, tol = np.ldexp(a, -e), math.ldexp(norm, -e), math.ldexp(min(tol, norm), -e)
+    minors, sizes = _principal_minors(x)
+    rows = _threshold_rows(x)
+    lo = pivot_threshold(x)
     if _admissible(minors, sizes, rows, lo):
         return 0.0
     lo, hi = (lo, norm) if _admissible(minors, sizes, rows, norm) else (norm, 2.0 * norm)
@@ -557,7 +556,7 @@ def rho_sr_bisect(a, tol: float = 1e-8) -> float:
             hi = t
         else:
             lo = t
-    return 0.5 * (lo + hi)
+    return math.ldexp(min(0.5 * (lo + hi), norm), e)
 
 
 def inverse_is_sdd_positive_diag(a) -> bool:

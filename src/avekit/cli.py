@@ -421,7 +421,7 @@ def _compare_one(name: str, problem: AveProblem, newton_start) -> dict:
     def matches(z) -> bool:
         if z is None or z_true is None:
             return False
-        return bool(np.abs(z - z_true).max() <= MATCH_TOL * (1.0 + np.abs(z_true).max()))
+        return bool(np.abs(z - z_true).max() <= MATCH_TOL * np.abs(z_true).max())
 
     rep = sge.sge_solve(problem)
     row["sge_status"] = rep.status.value

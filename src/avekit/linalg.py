@@ -18,9 +18,9 @@ stack, any degree drop included, and the bisection runs on an exact
 dyadic grid, several grid levels per pass once few rows are left.  The
 real spectral radius of one matrix is
 ``max_abs_real_roots(char_polys_stack(a[None]), infinity_norm(a), tol)``;
-``analysis.rho_sr_enum`` runs it over the stack of the S A that a
-proven bound on rho(S A) leaves in the running, which gives the result
-of running it over all of them.
+``analysis.rho_sr_enum`` runs it over the stack of the S X, X = 2^-e A,
+that a proven bound on rho(S X) leaves in the running, which gives the
+result of running it over all of them.
 Everything operates on plain float64 numpy arrays: matrices
 are row-major ``(n, n)``, vectors ``(n,)``, all entries finite.
 

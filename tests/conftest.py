@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import math
+
 import numpy as np
 
 from avekit import analysis as an
@@ -45,3 +47,10 @@ def half_stack(a: np.ndarray) -> np.ndarray:
     s_0 = +1, the whole stack rho_sr_enum searches or excludes."""
     signs = an.signature_stack(a.shape[0], fix_first=True)
     return la.char_polys_stack(signs[:, :, None] * a)
+
+
+def prescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """2^-e A and e, e = frexp(||A||_inf)[1]: the matrix, of norm in
+    [1/2, 1), on which rho_sr_enum and rho_sr_bisect run."""
+    e = math.frexp(la.infinity_norm(a))[1]
+    return np.ldexp(a, -e), e

@@ -10,7 +10,7 @@ from avekit import linalg as la
 from avekit import problems as pr
 from avekit.errors import DimensionTooLarge
 
-from conftest import half_stack, random_matrix, real_radius, random_signature
+from conftest import half_stack, prescaled, random_matrix, real_radius, random_signature
 
 CIRCULANT = np.array([[0.0, 0.0, 0.625], [0.625, 0.0, 0.0], [0.0, 0.625, 0.0]])
 TRAP_MATRIX = np.array([[0.005, 0.505], [0.0, 0.5]])
@@ -207,18 +207,15 @@ class TestSignaturePruning:
     reaches the maximum, and must give the search over the whole
     half-stack bit for bit."""
 
-    # 2^-20 is left out: near that scale the whole-stack search is wrong
-    # (the absolute thresholds of the Sturm chains), by up to 50 % against
-    # rho_sr_bisect, and the pruned search, which skips the rows whose
-    # counts go wrong, gives a different and closer value.
     @pytest.mark.parametrize("j", [0, 20, 60, -60])
     def test_is_the_whole_stack_search(self, j):
-        # 263 matrices at each of 4 scales, 1052 in all, tol scaled along.
+        # 263 matrices at each of 4 scales, 1052 in all, tol scaled along;
+        # both searches run on the prescaled X = 2^-e A.
         tol = math.ldexp(1e-10, j)
         for b in PRUNING_CASES:
-            a = np.ldexp(b, j)
-            whole = la.max_abs_real_roots(half_stack(a), la.infinity_norm(a), tol)
-            assert an.rho_sr_enum(a, tol) == whole
+            x, e = prescaled(np.ldexp(b, j))
+            whole = la.max_abs_real_roots(half_stack(x), la.infinity_norm(x), math.ldexp(tol, -e))
+            assert an.rho_sr_enum(np.ldexp(b, j), tol) == math.ldexp(whole, e)
 
     @pytest.mark.parametrize("name, a", [
         ("zero", np.zeros((8, 8))),
@@ -232,23 +229,24 @@ class TestSignaturePruning:
     ])
     def test_bound_dominates_every_signature(self, name, a):
         signs = an.signature_stack(a.shape[0], fix_first=True)
-        for j in (0, 40, -40):
-            scaled = np.ldexp(a, j)
-            bounds = an._radius_bounds(scaled, la.infinity_norm(scaled))
-            radii = [np.abs(np.linalg.eigvals(s[:, None] * scaled)).max() for s in signs]
-            assert (bounds >= radii).all(), name
+        x, _e = prescaled(a)
+        bounds = an._radius_bounds(x)
+        radii = [np.abs(np.linalg.eigvals(s[:, None] * x)).max() for s in signs]
+        assert (bounds >= radii).all(), name
 
     @pytest.mark.parametrize("index", range(0, len(PRUNING_CASES), 13))
-    def test_bounds_scale_exactly_with_powers_of_two(self, index):
-        # The bound squares 2^-e S A, ||2^-e A||_inf in [1/2, 1): nothing
-        # overflows or underflows, so it is exactly homogeneous.
+    def test_bounds_scale_exactly_with_powers_of_two(self, monkeypatch, index):
+        # rho_sr_enum bounds 2^-e S A, ||2^-e A||_inf in [1/2, 1), so 2^j A
+        # gets the bounds of A bit for bit, finite, and 2^j times its radius.
+        seen = []
+        bounds = an._radius_bounds
+        monkeypatch.setattr(an, "_radius_bounds", lambda x: seen.append(bounds(x)) or seen[-1])
         a = PRUNING_CASES[index]
-        bounds = an._radius_bounds(a, la.infinity_norm(a))
-        assert np.isfinite(bounds).all()
+        r = an.rho_sr_enum(a)
         for j in (-60, -20, 20, 60):
-            scaled = np.ldexp(a, j)
-            got = an._radius_bounds(scaled, la.infinity_norm(scaled))
-            assert got.tobytes() == np.ldexp(bounds, j).tobytes()
+            assert an.rho_sr_enum(np.ldexp(a, j), math.ldexp(1e-10, j)) == math.ldexp(r, j)
+        assert len(seen) in (0, 5) and np.isfinite(seen).all()
+        assert all(got.tobytes() == seen[0].tobytes() for got in seen)
 
     def test_searches_few_signatures(self, monkeypatch):
         searched = []
@@ -279,13 +277,11 @@ class TestSignaturePruning:
         assert calls == []
 
 
-def unblocked_bounds(a, norm):
+def unblocked_bounds(x):
     """_radius_bounds by one squaring of the whole half-stack
-    signature_stack(n, True)[:, :, None] * 2^-e A, with no blocks."""
-    n = a.shape[0]
+    signature_stack(n, True)[:, :, None] * X, with no blocks."""
+    n = x.shape[0]
     k = 1 << an._SQUARINGS
-    e = math.frexp(norm)[1]
-    x = np.ldexp(a, -e)
     powers = an.signature_stack(n, fix_first=True)[:, :, None] * x[None, :, :]
     absolute = np.abs(x)
     for _ in range(an._SQUARINGS):
@@ -294,7 +290,7 @@ def unblocked_bounds(a, norm):
     eps = np.finfo(float).eps
     slack = 2 * k * n * eps * la.infinity_norm(absolute) + k * n * np.finfo(float).tiny
     norms = np.einsum("kij->ki", np.abs(powers)).max(axis=1)
-    return np.ldexp((norms + slack) ** (1.0 / k) * (1.0 + 4 * eps), e)
+    return (norms + slack) ** (1.0 / k) * (1.0 + 4 * eps)
 
 
 class TestBlockedBounds:
@@ -311,11 +307,8 @@ class TestBlockedBounds:
         cases = {"random": u, "zero": np.zeros((n, n)), "nilpotent": np.triu(u, 1),
                  "1.1 I": 1.1 * np.eye(n)}
         for name, a in cases.items():
-            for j in (0, 60, -60):
-                scaled = np.ldexp(a, j)
-                norm = la.infinity_norm(scaled)
-                got = an._radius_bounds(scaled, norm)
-                assert got.tobytes() == unblocked_bounds(scaled, norm).tobytes(), (name, j)
+            x, _e = prescaled(a)
+            assert an._radius_bounds(x).tobytes() == unblocked_bounds(x).tobytes(), name
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_blocks_are_the_signed_stack(self, n):
@@ -396,14 +389,14 @@ class TestRhoSrBisect:
         assert abs(r - 1.1) <= 2 * (1 + eps) * 1e-14 ** (1 / 3)
 
 
-def metamorphic_case(seed):
-    """A unit-scale matrix (n = 2..10, ||A||_inf in [0.5, 3]) and its
+def metamorphic_case(seed, n=None, norm=None):
+    """A matrix (by default n = 2..10 and ||A||_inf in [0.5, 3]) and its
     images P A P^T, S1 A S2 and A^T for a random permutation P and random
     signatures S1, S2, each of which has the sign-real spectral radius
     of A."""
     g = np.random.default_rng(seed + 950)
-    n = 2 + seed % 9
-    a = random_matrix(seed + 900, n, norm=float(g.uniform(0.5, 3.0)))
+    n = 2 + seed % 9 if n is None else n
+    a = random_matrix(seed + 900, n, norm=float(g.uniform(0.5, 3.0)) if norm is None else norm)
     p = g.permutation(n)
     s1, s2 = g.choice([-1.0, 1.0], size=(2, n))
     images = {"P A P^T": a[np.ix_(p, p)], "S1 A S2": s1[:, None] * a * s2[None, :], "A^T": a.T}
@@ -424,6 +417,17 @@ class TestMetamorphicRelations:
         for name, b in images.items():
             assert abs(estimator(b, tol) - r) <= 2 * tol, name
 
+    @pytest.mark.parametrize("estimator", [an.rho_sr_enum, an.rho_sr_bisect])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("norm", [1e-6, 1e-3, 1e3, 1e9])
+    def test_estimators_are_invariant_at_scale(self, estimator, norm, n):
+        # tol is in A's units, so it scales with A.
+        tol = 1e-10 * norm
+        a, images = metamorphic_case(n, n, norm)
+        r = estimator(a, tol)
+        for name, b in images.items():
+            assert abs(estimator(b, tol) - r) <= 2 * tol, name
+
     @pytest.mark.parametrize("seed", range(24))
     def test_det_verdict_is_invariant(self, seed):
         a, images = metamorphic_case(seed)
@@ -433,6 +437,36 @@ class TestMetamorphicRelations:
         assert verdict == (rho < 1.0)
         for name, b in images.items():
             assert an.det_positive_all_signatures(b) == verdict, name
+
+
+def scale_case(n, seed):
+    """A uniform [-1, 1] n x n matrix; n = 3, 4, 6, 8, 10, 12 and seeds
+    0..2 give the 18 matrices of the scale tests."""
+    return np.random.default_rng(100 * n + seed).uniform(-1.0, 1.0, (n, n))
+
+
+SCALE_CASES = [(n, seed) for n in (3, 4, 6, 8, 10, 12) for seed in range(3)]
+
+
+class TestScaleInvariance:
+    """rho^R(cA) = c rho^R(A): both estimators prescale A by 2^-e, so
+    they are exactly homogeneous under powers of two, and rho_sr_enum
+    stays within 1e-11 of the reference at any scale."""
+
+    @pytest.mark.parametrize("estimator", [an.rho_sr_enum, an.rho_sr_bisect])
+    @pytest.mark.parametrize("n, seed", SCALE_CASES)
+    def test_powers_of_two_scale_exactly(self, estimator, n, seed):
+        a = scale_case(n, seed)
+        r = estimator(a, 1e-10)
+        for j in (-60, -7, 3, 60):
+            assert estimator(np.ldexp(a, j), math.ldexp(1e-10, j)) == math.ldexp(r, j), j
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 30.0, 1e3, 1e9])
+    def test_enumeration_matches_bisection_at_any_scale(self, c):
+        for n, seed in SCALE_CASES:
+            b = scale_case(n, seed)
+            want = an.rho_sr_bisect(b, 1e-12)
+            assert an.rho_sr_enum(c * b, c * 1e-10) / c == pytest.approx(want, rel=1e-11), (n, seed)
 
 
 def plain_bisection(a, tol, log=None):
@@ -573,15 +607,18 @@ class TestMinorExpansion:
 
     def test_repeat_call_on_the_same_bytes_makes_no_det_call(self, monkeypatch):
         # analyze --rho both computes the minors once: rho_sr_bisect, then
-        # det_positive_all_signatures on the same entries in another layout.
+        # det_positive_all_signatures on the same entries in another layout,
+        # both on the prescaled X.
         calls = count_det_calls(monkeypatch)
         a = random_matrix(601, 7)
-        minors, sizes = an._principal_minors(a)
+        x, e = prescaled(a)
+        assert e != 0
+        minors, sizes = an._principal_minors(x)
         assert calls == [7]
         assert not minors.flags.writeable and not sizes.flags.writeable
         an.rho_sr_bisect(a, tol=1e-10)
         an.det_positive_all_signatures(np.asfortranarray(a))
-        again, _sizes = an._principal_minors(a.copy())
+        again, _sizes = an._principal_minors(x.copy())
         assert calls == [7]
         assert again is minors
 
@@ -680,11 +717,12 @@ class TestCriticalSignatureSearch:
         # ||A||_inf is not rho^R for this matrix.  Bisection on the
         # expansion decides every step as LAPACK dets do.
         a = random_matrix(90_003, 5)
+        x, e = prescaled(a)
         verdicts = []
-        reference, _ = plain_bisection(a, 1e-8, verdicts)
+        reference, _ = plain_bisection(x, math.ldexp(1e-8, -e), verdicts)
         estimate = an.rho_sr_bisect(a, tol=1e-8)
         assert sweeps == verdicts
-        assert estimate == reference
+        assert estimate == math.ldexp(reference, e)
         assert abs(estimate - an.rho_sr_enum(a, tol=1e-10)) <= 2e-8
 
     @pytest.mark.parametrize("kind", ["triu", "bidiagonal"])
@@ -852,58 +890,54 @@ class TestDetPositivity:
 
 
 class TestOverflow:
-    """rho_sr_enum computes the characteristic polynomials of the searched
-    signatures only, so only their coefficients are checked for overflow.
-    At 1e30 B that still catches it: the constant coefficient is
-    det(S A) = +-det(A), which overflows for every signature."""
+    """Both estimators run on X = 2^-e A, ||X||_inf in [1/2, 1), so no
+    characteristic polynomial coefficient, minor or bisection bracket
+    overflows at any finite ||A||_inf; an overflowing ||A||_inf raises."""
 
     B = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))  # rho^R = 3.29
 
-    def test_overflowing_coefficients_and_minors_raise(self):
-        # At 1e30 B the char polys and the 12 x 12 minors overflow: both
-        # radii used to come out wrong (0.0 and 2 ||A||_inf) without error.
-        a = 1e30 * self.B
-        with pytest.raises(ValueError, match="rho_sr_enum"):
-            an.rho_sr_enum(a)
-        with pytest.raises(ValueError, match="rho_sr_bisect"):
-            an.rho_sr_bisect(a)
-        assert an.det_positive_all_signatures(a) == lapack_verdict(a)
-
     def test_overflowing_norm_raises(self):
-        # Finite entries whose row sum overflows; the minors stay finite.
+        # Finite entries whose row sum overflows.
         a = np.array([[1e308, 1e308], [0.0, 0.0]])
         with pytest.raises(ValueError, match="rho_sr_enum"):
             an.rho_sr_enum(a)
         with pytest.raises(ValueError, match="rho_sr_bisect"):
             an.rho_sr_bisect(a)
 
-    @pytest.mark.parametrize("a", [[[1e299]], [[1e300, 0.0], [0.0, 1.0]]])
+    @pytest.mark.parametrize("a", [[[1e299]], [[1e300, 0.0], [0.0, 1.0]], [[9e307]],
+                                   [[9e307, 0.0], [0.0, 1.0]], [[np.finfo(float).max]]])
     def test_norm_far_above_tol_is_a_number(self, a):
-        # top / tol overflowed to inf in the root search's step count.
+        # top / tol overflowed to inf in the root search's step count, and
+        # from 9e307 on 2||A||_inf, the top of bisection's bracket, did.
         a = np.array(a)
-        assert an.rho_sr_enum(a) == pytest.approx(a[0, 0], rel=1e-12)
-        assert an.rho_sr_bisect(a, tol=1e-10) == pytest.approx(a[0, 0], rel=1e-12)
+        for r in (an.rho_sr_enum(a), an.rho_sr_bisect(a, tol=1e-10)):
+            assert r == pytest.approx(a[0, 0], rel=1e-12) and r <= a[0, 0]
 
-    @pytest.mark.parametrize("a", [[[9e307]], [[9e307, 0.0], [0.0, 1.0]],
-                                   [[np.finfo(float).max]]])
-    def test_overflowing_bracket_raises(self, a):
-        # 2||A||_inf overflows: bisection's bracket [||A||_inf, inf] had
-        # inf midpoints and never ended.
-        a = np.array(a)
-        with pytest.raises(ValueError, match="rho_sr_enum: 2"):
-            an.rho_sr_enum(a)
-        with pytest.raises(ValueError, match="rho_sr_bisect: 2"):
-            an.rho_sr_bisect(a)
+    def test_subnormal_norm_is_a_number(self):
+        # 2^-e tol would overflow here (e = -1062), so a tol above
+        # ||A||_inf, which any result meets, is capped there; and the
+        # determinant expansion's t = 2^-e is inf, where every det is 1.
+        a = np.array([[1e-320]])
+        for r in (an.rho_sr_enum(a), an.rho_sr_bisect(a, tol=1e-10)):
+            assert 0.0 <= r <= a[0, 0]
+        assert an.det_positive_all_signatures(a)
+
+    def check_scale(self, scale):
+        a = scale * self.B
+        want = scale * an.rho_sr_bisect(self.B, tol=1e-12)
+        assert an.rho_sr_enum(a) == pytest.approx(want, rel=1e-11)
+        assert an.rho_sr_bisect(a, tol=1e-10) == pytest.approx(want, rel=1e-11)
+        assert an.det_positive_all_signatures(a) == lapack_verdict(a)
+
+    def test_overflowing_coefficients_and_minors_raise(self):
+        # At 1e30 the char polys and the 12 x 12 minors of A overflow, which
+        # used to raise; those of X do not, so no error is left to raise and
+        # both radii are the scale times B's.
+        self.check_scale(1e30)
 
     def test_large_finite_scale_is_unchanged(self):
-        # At 1e20 B nothing overflows: the enumeration is its unchecked
-        # pipeline bit for bit, and bisection scales with A.
-        a = 1e20 * self.B
-        mats = an.signature_stack(12, fix_first=True)[:, :, None] * a
-        unchecked = la.max_abs_real_roots(la.char_polys_stack(mats), la.infinity_norm(a), 1e-10)
-        assert an.rho_sr_enum(a) == unchecked
-        assert an.rho_sr_bisect(a, tol=1e10) == pytest.approx(
-            1e20 * an.rho_sr_bisect(self.B, tol=1e-12), rel=1e-11)
+        # At 1e20 nothing overflows, of A or of X.
+        self.check_scale(1e20)
 
 
 class TestInverseSdd:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from avekit import analysis as an
 from avekit import cli
 from avekit import problems as pr
 
@@ -263,14 +264,12 @@ class TestAnalyze:
         assert run("analyze", str(path), "--out", str(out)) == 0
         assert read_json(str(out))["det_positive_all_signatures"] is False
 
-    @pytest.mark.parametrize("scale", [1e30, 1e308])
+    @pytest.mark.parametrize("scale", [1e308])
     @pytest.mark.parametrize("rho", ["enum", "bisect", "both"])
     def test_overflowing_radii_are_an_error(self, tmp_path, capsys, scale, rho):
-        # Overflowing char polys or minors once gave 0.0 or 2 ||A||_inf,
-        # and at 1e308 an invalid JSON Infinity, with exit 0.  At 1e308
-        # the row sums of |A| overflow, and the loader rejects A.
-        b = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))
-        a = scale * b if scale < 1e300 else scale * np.sign(b)
+        # At 1e308 the row sums of |A| overflow, and the loader rejects A;
+        # it once printed an invalid JSON Infinity with exit 0.
+        a = scale * np.sign(np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12)))
         path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(12)))
         assert run("analyze", path, "--rho", rho) == 1
         captured = capsys.readouterr()
@@ -284,12 +283,15 @@ class TestAnalyze:
         ([[9e307]], None),
         ([[9e307, 0.0], [0.0, 1.0]], None),
         ([[np.finfo(float).max]], None),
+        (1e30 * np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12)), None),
     ])
     @pytest.mark.parametrize("rho", ["enum", "bisect"])
     def test_top_of_the_float_range_ends_cleanly(self, tmp_path, a, radius, rho):
-        # These once printed a traceback (enum: an inf step count) or ran
-        # until killed (bisect: the bracket [||A||_inf, inf]).  Where
-        # 2||A||_inf overflows both radii are one error line.
+        # These once printed a traceback (enum: an inf step count), ran
+        # until killed (bisect: the bracket [||A||_inf, inf]) or, where
+        # 2||A||_inf or a char poly or minor of A overflows, gave an error.
+        # Both radii run on 2^-e A, so each is finite and at most
+        # ||A||_inf; radius is the known value where one is given.
         a = np.array(a)
         path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(len(a))))
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -299,15 +301,40 @@ class TestAnalyze:
             [sys.executable, "-c", "from avekit.cli import entrypoint; entrypoint()",
              "analyze", path, "--rho", rho],
             capture_output=True, text=True, timeout=60, env=env)
-        if radius is None:
-            assert done.returncode == 1 and done.stdout == ""
-            assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
-            assert "overflows" in done.stderr
-        else:
-            assert done.returncode == 0 and done.stderr == "", done.stderr
-            data = json.loads(done.stdout, parse_constant=lambda name: pytest.fail(name))
-            got = data[f"rho_sr_{rho}"]
-            assert math.isfinite(got) and got == pytest.approx(radius, rel=1e-12)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        data = json.loads(done.stdout, parse_constant=lambda name: pytest.fail(name))
+        got = data[f"rho_sr_{rho}"]
+        assert math.isfinite(got) and got <= np.abs(a).sum(axis=1).max()
+        if radius is not None:
+            assert got == pytest.approx(radius, rel=1e-12)
+
+    def test_overflowing_norm_is_one_error_line(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json",
+                             pr.AveProblem(np.array([[1e308, 1e308], [0.0, 0.0]]), np.ones(2)))
+        assert run("analyze", path, "--rho", "both") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale, n, seed", [(1e9, 6, 600), (1e30, 12, 12)])
+    def test_scaled_file_gives_scaled_radii(self, tmp_path, scale, n, seed):
+        # Both radii of scale B agree, are the scale times those of B, and
+        # come from one pass of principal minors: rho_sr_bisect and
+        # det_positive_all_signatures read those of the same 2^-e A.
+        b = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        radii = {}
+        for name, a in (("unscaled", b), ("scaled", scale * b)):
+            path = write_problem(tmp_path / f"{name}.json", pr.AveProblem(a, np.ones(n)))
+            out = tmp_path / f"{name}-report.json"
+            an._minors_of.cache_clear()
+            assert run("analyze", path, "--rho", "both", "--out", str(out)) == 0
+            assert an._minors_of.cache_info().misses == 1
+            data = read_json(str(out))
+            radii[name] = data["rho_sr_enum"], data["rho_sr_bisect"]
+        enum, bisect = radii["scaled"]
+        assert enum == pytest.approx(bisect, rel=1e-12)
+        for got, unscaled in zip(radii["scaled"], radii["unscaled"]):
+            assert got == pytest.approx(scale * unscaled, rel=1e-11)
 
     @pytest.mark.parametrize("cls, sizes, seeds", [
         *[(cls, range(3, 7), range(20, 31))
@@ -385,6 +412,27 @@ class TestCompare:
         assert run("compare", "--dir", str(d), "--out", str(out)) == 0
         data = read_json(str(out))
         assert data["summary"]["both"] == 6
+
+    def test_match_is_relative_to_the_solution(self, tmp_path, trap_file):
+        # SGE's wrong trap answer stays wrong at every scale of b: at
+        # b 2^-20, z = (4.7e-9, 9.5e-7) once passed an absolute floor of
+        # 1e-8.  Both answers on a guaranteed instance stay right.
+        d = tmp_path / "instances"
+        d.mkdir()
+        trap, _known, _meta = cli.load_problem(trap_file)
+        guaranteed = tmp_path / "g.json"
+        run("generate", "--class", "norm-lt-half", "--n", "4", "--seed", "0",
+            "--out", str(guaranteed))
+        good, _known, _meta = cli.load_problem(str(guaranteed))
+        for j in (0, 20, 40):
+            write_problem(d / f"trap-{j}.json", pr.AveProblem(trap.a, np.ldexp(trap.b, -j)))
+        write_problem(d / "good-40.json", pr.AveProblem(good.a, np.ldexp(good.b, -40)))
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--dir", str(d), "--out", str(out)) == 0
+        rows = {row["instance"]: row for row in read_json(str(out))["instances"]}
+        for j in (0, 20, 40):
+            assert not rows[f"trap-{j}.json"]["sge_ok"] and rows[f"trap-{j}.json"]["newton_ok"]
+        assert rows["good-40.json"]["sge_ok"] and rows["good-40.json"]["newton_ok"]
 
     def test_empty_directory(self, tmp_path):
         d = tmp_path / "empty"
