@@ -78,8 +78,6 @@ def is_irreducible(a) -> bool:
     """
     a = as_square_matrix(a)
     n = a.shape[0]
-    if n == 1:
-        return True
     adj = a != 0.0
 
     def reaches_all(edges: np.ndarray) -> bool:
@@ -106,10 +104,7 @@ def is_strictly_diag_dominant(a) -> bool:
 def is_tridiag_abs_symmetric(a) -> bool:
     """True iff a_ij = 0 for |i - j| > 1 and |A| is symmetric."""
     a = as_square_matrix(a)
-    n = a.shape[0]
-    if n > 2 and (np.triu(a, 2) != 0.0).any():
-        return False
-    if n > 2 and (np.tril(a, -2) != 0.0).any():
+    if (np.triu(a, 2) != 0.0).any() or (np.tril(a, -2) != 0.0).any():
         return False
     abs_a = np.abs(a)
     return bool(np.array_equal(abs_a, abs_a.T))
@@ -234,10 +229,10 @@ def _radius_bounds(x: np.ndarray) -> np.ndarray:
 
     rho(Y) <= ||Y^k||_inf^(1/k) for any k; here k = 2^q with q =
     ``_SQUARINGS``, and (S X)^k comes from q batched squarings of the
-    stack.  The stack is squared one block of ``_signed_blocks`` at a
-    time, in two buffers reused for every block; each matrix goes
-    through the same products and row sums as in a squaring of the whole
-    stack, so the bounds do not depend on the block size.
+    stack.  The stack is formed and squared one block of 2^``_BLOCK_BITS``
+    signatures at a time, in two buffers reused for every block; each
+    matrix goes through the same products and row sums as in a squaring
+    of the whole stack, so the bounds do not depend on the block size.
 
     Squaring in floating point, the computed (S X)^k lies within
     ((1 + gamma_n)^(k - 1) - 1) |X|^k, about (k - 1) n u |X|^k, of the
@@ -254,45 +249,17 @@ def _radius_bounds(x: np.ndarray) -> np.ndarray:
         absolute = absolute @ absolute
     eps = np.finfo(float).eps
     slack = 2 * k * n * eps * infinity_norm(absolute) + k * n * np.finfo(float).tiny
+    signs = signature_stack(n, fix_first=True)
     size = 1 << min(_BLOCK_BITS, n - 1)
     signed, spare = np.empty((size, n, n)), np.empty((size, n, n))
-    norms = np.empty(1 << (n - 1))
-    for b, block in enumerate(_signed_blocks(x, signed)):
+    norms = np.empty(len(signs))
+    for lo in range(0, len(signs), size):
+        block = np.multiply(signs[lo:lo + size, :, None], x, out=signed)
         for q in range(_SQUARINGS):
             block = np.matmul(block, block, out=(spare, signed)[q % 2])
         np.abs(block, out=block)
-        np.einsum("kij->ki", block).max(axis=1, out=norms[b * size:(b + 1) * size])
+        np.einsum("kij->ki", block).max(axis=1, out=norms[lo:lo + size])
     return (norms + slack) ** (1.0 / k) * (1.0 + 4 * eps)
-
-
-def _signed_blocks(x: np.ndarray, out: np.ndarray):
-    """The stack ``signature_stack(n, fix_first=True)[:, :, None] * x``,
-    yielded as consecutive blocks of ``len(out)`` = 2^bits (at most
-    2^(n - 1)) signatures: the first block in an array of its own, each
-    later one written into ``out``.
-
-    Row i of S X is s_i times row i of X, and signature b 2^bits + c has
-    s_(j+1) = -1 for each bit j set in c, and s_(bits+1+h) = -1 for each
-    bit h set in b.  The first block is built once, by doubling: rows
-    [2^j, 2^(j+1)) of it are rows [0, 2^j) with row j + 1 of each matrix
-    negated.  Block b is the first with rows bits + 1 + h negated.  Sign
-    flips are exact, so every block is bitwise its slice of the
-    product."""
-    bits = len(out).bit_length() - 1
-    high = len(x) - 1 - bits
-    first = np.empty_like(out)
-    first[0] = x
-    for j in range(bits):
-        flip = first[1 << j:2 << j, j + 1]
-        first[1 << j:2 << j] = first[:1 << j]
-        np.negative(flip, out=flip)
-    yield first
-    for b in range(1, 1 << high):
-        np.copyto(out, first)
-        for h in range(high):
-            if b >> h & 1:
-                np.negative(out[:, bits + 1 + h], out=out[:, bits + 1 + h])
-        yield out
 
 
 def signature_systems(a: np.ndarray, scale: float = 1.0):
@@ -321,11 +288,12 @@ def det_positive_all_signatures(a) -> bool:
 
     The determinants come from the minors of rho_sr_bisect's X = 2^-e A,
     computed once for both, by the expansion at t = 2^-e
-    (``_expanded_systems``), as (X/t)S is AS bitwise.  That lies within
-    d = 16 n eps prod_i (1 + r_i) of LAPACK's, r_i the row sums of |A|.
-    A determinant below its threshold by more than d settles False, all
-    above by more than d settle True; otherwise, and wherever a value is
-    not finite, the LAPACK sweep of ``signature_systems(a)`` decides."""
+    (``_expanded_dets``, against ``_signature_thresholds``), as (X/t)S is
+    AS bitwise.  That lies within d = 16 n eps prod_i (1 + r_i) of
+    LAPACK's, r_i the row sums of |A|.  A determinant below its threshold
+    by more than d settles False, all above by more than d settle True;
+    otherwise, and wherever a value is not finite, the LAPACK sweep of
+    ``signature_systems(a)`` decides."""
     a = as_square_matrix(a)
     n = a.shape[0]
     _check_enum_dim(n, "det_positive_all_signatures")
@@ -334,7 +302,8 @@ def det_positive_all_signatures(a) -> bool:
         e = math.frexp(infinity_norm(a))[1]
         x = np.ldexp(a, -e)
         minors, sizes = _principal_minors(x)
-        dets, thr = _expanded_systems(minors, sizes, _threshold_rows(x), float(np.ldexp(1.0, -e)))
+        t = float(np.ldexp(1.0, -e))
+        dets, thr = _expanded_dets(minors, sizes, t), _signature_thresholds(_threshold_rows(x), t)
         slack = 16 * n * np.finfo(float).eps * np.prod(1.0 + np.abs(a).sum(axis=1))
         if np.isfinite(slack) and np.isfinite(dets).all():
             if (dets < thr - slack).any():
@@ -473,17 +442,10 @@ def _expanded_dets(minors, sizes, t: float) -> np.ndarray:
     return _hadamard(n - low) @ c.reshape(1 << (n - low), 1 << low) @ _hadamard(low)
 
 
-def _expanded_systems(minors, sizes, rows, t: float):
-    """``_expanded_dets(minors, sizes, t)`` and
-    ``_signature_thresholds(rows, t)``, both shaped
-    (2^(n - n//2), 2^(n//2)) in ``signature_stack(n)`` order."""
-    return _expanded_dets(minors, sizes, t), _signature_thresholds(rows, t)
-
-
 def _admissible(minors, sizes, rows, t: float) -> bool:
     """Whether every det(I - (A/t)S) of the minor expansion clears its
-    threshold: ``(dets > thr).all()`` for ``_expanded_systems(minors,
-    sizes, rows, t)``.
+    threshold: ``(dets > thr).all()`` for dets = ``_expanded_dets(minors,
+    sizes, t)`` and thr = ``_signature_thresholds(rows, t)``.
 
     Every threshold lies between the two that the extreme norms give:
     ||I - (A/t)S||_inf is at most the largest of the 2n ``_row_norms``,

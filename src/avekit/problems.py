@@ -146,26 +146,24 @@ def _signs(r: np.ndarray) -> np.ndarray:
     return np.where(r < 0.5, 1.0, -1.0)
 
 
-def _draw_with_followers(rng: XorShift64Star, hit, heads: int | None = None,
-                         hits: int | None = None):
-    """Draw a stream in which every head draw r with hit(r) is followed by
-    one more draw, its follower, up to ``heads`` heads or, with ``hits``,
-    up to ``hits`` hit heads and their followers.
+def _draw_with_followers(rng: XorShift64Star, hit, heads: int):
+    """Draw ``heads`` head draws, each head r with hit(r) followed by one
+    more draw, its follower.
 
-    Returns (the hit mask of the heads, the hit heads, their followers),
-    having drawn exactly what the scalar loop would: each batch is the
-    fewest draws still certain to be needed.  A draw is a head unless the
-    draw before it is a hit head.  So within a batch a draw is a head
-    when an even number of draws separate it from the start of its run;
-    a run starts at the batch's first draw (one earlier when that draw is
-    a pending follower) and after each miss.
+    Returns (the hit mask of the heads, the followers), having drawn
+    exactly what the scalar loop would: each batch is the fewest draws
+    still certain to be needed.  A draw is a head unless the draw before
+    it is a hit head.  So within a batch a draw is a head when an even
+    number of draws separate it from the start of its run; a run starts
+    at the batch's first draw (one earlier when that draw is a pending
+    follower) and after each miss.
     """
-    hit_parts, hit_head_parts, follower_parts = [np.empty(0, dtype=bool)], [np.empty(0)], [np.empty(0)]
+    hit_parts, follower_parts = [np.empty(0, dtype=bool)], [np.empty(0)]
     got = 0
     follower_due = False
     while True:
-        # Each head still needed takes at least one draw, each hit two.
-        count = (heads - got if hits is None else 2 * (hits - got)) + follower_due
+        # Each head still needed takes at least one draw.
+        count = heads - got + follower_due
         if count == 0:
             break
         x = rng.random_array(count)
@@ -183,10 +181,8 @@ def _draw_with_followers(rng: XorShift64Star, hit, heads: int | None = None,
         follower_due = bool(len(hit_at) and hit_at[-1] == count - 1)
         follower_parts.append(x[hit_at[: len(hit_at) - follower_due] + 1])
         hit_parts.append(head_hit)
-        hit_head_parts.append(x[hit_at])
-        got += len(at) if hits is None else len(hit_at)
-    return (np.concatenate(hit_parts), np.concatenate(hit_head_parts),
-            np.concatenate(follower_parts))
+        got += len(at)
+    return np.concatenate(hit_parts), np.concatenate(follower_parts)
 
 
 def _gen_norm_lt_half(rng: XorShift64Star, n: int) -> np.ndarray:
@@ -207,7 +203,7 @@ def _gen_irreducible_half(rng: XorShift64Star, n: int) -> np.ndarray:
     # Each empty off-diagonal entry, in row-major order, is filled with
     # probability 0.15, by a second draw.
     empty = np.flatnonzero((a == 0.0) & ~np.eye(n, dtype=bool))
-    filled, _hit_tests, values = _draw_with_followers(rng, lambda r: r < 0.15, heads=len(empty))
+    filled, values = _draw_with_followers(rng, lambda r: r < 0.15, len(empty))
     a.flat[empty[filled]] = to_uniform(values, -1.0, 1.0)
     a *= 0.5 / infinity_norm(a)
     sums = np.abs(a).sum(axis=1)
@@ -222,11 +218,12 @@ def _gen_irreducible_half(rng: XorShift64Star, n: int) -> np.ndarray:
 def _gen_sdd_two_thirds(rng: XorShift64Star, n: int) -> np.ndarray:
     a = rng.uniform_array((n, n))
     np.fill_diagonal(a, 0.0)
-    # Per row: uniform(1, 1.5) redrawn while it rounds to 1, then a sign.
-    _accepted, candidates, signs = _draw_with_followers(
-        rng, lambda r: to_uniform(r, 1.0, 1.5) > 1.0, hits=n)
-    scales = to_uniform(candidates, 1.0, 1.5).tolist()
-    for i, (u, sign) in enumerate(zip(scales, _signs(signs).tolist())):
+    for i in range(n):
+        # uniform(1, 1.5) redrawn while it rounds to 1, then a sign.
+        u = rng.uniform(1.0, 1.5)
+        while u <= 1.0:
+            u = rng.uniform(1.0, 1.5)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
         off = float(np.abs(a[i]).sum())
         if off == 0.0:
             a[i, (i + 1) % n] = 0.1

@@ -207,15 +207,16 @@ class TestSignaturePruning:
     reaches the maximum, and must give the search over the whole
     half-stack bit for bit."""
 
-    @pytest.mark.parametrize("j", [0, 20, 60, -60])
-    def test_is_the_whole_stack_search(self, j):
-        # 263 matrices at each of 4 scales, 1052 in all, tol scaled along;
-        # both searches run on the prescaled X = 2^-e A.
-        tol = math.ldexp(1e-10, j)
+    def test_is_the_whole_stack_search(self):
+        # 263 matrices at each of 4 scales, 1052 in all, tol scaled along.
+        # Both searches run on the prescaled X = 2^-e A, which is the same
+        # for every 2^j A, so the whole-stack search runs once per matrix.
         for b in PRUNING_CASES:
-            x, e = prescaled(np.ldexp(b, j))
-            whole = la.max_abs_real_roots(half_stack(x), la.infinity_norm(x), math.ldexp(tol, -e))
-            assert an.rho_sr_enum(np.ldexp(b, j), tol) == math.ldexp(whole, e)
+            x, e = prescaled(b)
+            whole = la.max_abs_real_roots(half_stack(x), la.infinity_norm(x), math.ldexp(1e-10, -e))
+            for j in (0, 20, 60, -60):
+                got = an.rho_sr_enum(np.ldexp(b, j), math.ldexp(1e-10, j))
+                assert got == math.ldexp(whole, e + j)
 
     @pytest.mark.parametrize("name, a", [
         ("zero", np.zeros((8, 8))),
@@ -309,18 +310,6 @@ class TestBlockedBounds:
         for name, a in cases.items():
             x, _e = prescaled(a)
             assert an._radius_bounds(x).tobytes() == unblocked_bounds(x).tobytes(), name
-
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_blocks_are_the_signed_stack(self, n):
-        # Every block size from one signature to the whole half-stack, on
-        # a matrix with zero entries, whose signs flip too.
-        x = random_matrix(1100 + n, n)
-        x[np.random.default_rng(1100 + n).random((n, n)) < 0.3] = 0.0
-        want = an.signature_stack(n, fix_first=True)[:, :, None] * x
-        for bits in range(n):
-            out = np.empty((1 << bits, n, n))
-            got = np.concatenate([block.copy() for block in an._signed_blocks(x, out)])
-            assert got.tobytes() == want.tobytes(), bits
 
 
 class TestRhoSrBisect:
@@ -557,10 +546,11 @@ def expansion_bound(a, t):
 
 
 def expansion(a, t):
-    """_expanded_systems of A at scale t, flattened to signature order."""
+    """The minor expansion's dets and the thresholds of A at scale t,
+    flattened to signature order."""
     minors, sizes = an._principal_minors(a)
-    dets, thr = an._expanded_systems(minors, sizes, an._threshold_rows(a), t)
-    return dets.reshape(-1), thr.reshape(-1)
+    thr = an._signature_thresholds(an._threshold_rows(a), t)
+    return an._expanded_dets(minors, sizes, t).reshape(-1), thr.reshape(-1)
 
 
 class TestSignatureSystems:
@@ -744,13 +734,14 @@ class TestCriticalSignatureSearch:
 @pytest.fixture
 def full_rule_verdicts(monkeypatch):
     """Each verdict of _admissible, checked against the full rule
-    (dets > thr).all() on ``_expanded_systems`` at the same t."""
+    (dets > thr).all() on ``_expanded_dets`` and ``_signature_thresholds``
+    at the same t."""
     log = []
     admissible = an._admissible
 
     def checked(minors, sizes, rows, t):
         verdict = admissible(minors, sizes, rows, t)
-        dets, thr = an._expanded_systems(minors, sizes, rows, t)
+        dets, thr = an._expanded_dets(minors, sizes, t), an._signature_thresholds(rows, t)
         assert verdict == bool((dets > thr).all()), t
         log.append(verdict)
         return verdict
@@ -791,7 +782,7 @@ class TestThresholdEnvelope:
         t = float.fromhex(t)
         minors, sizes = an._principal_minors(a)
         rows = an._threshold_rows(a)
-        dets, thr = an._expanded_systems(minors, sizes, rows, t)
+        dets, thr = an._expanded_dets(minors, sizes, t), an._signature_thresholds(rows, t)
         assert thr.min() < dets.min() <= thr.max(), "no longer inside the band on this BLAS"
         assert bool((dets > thr).all()) == verdict
         built = []
@@ -866,7 +857,8 @@ class TestDetPositivity:
         a /= float.fromhex(rho)
         assert lapack_verdict(a) == lapack
         minors, sizes = an._principal_minors(a)
-        expanded, expanded_thr = an._expanded_systems(minors, sizes, an._threshold_rows(a), 1.0)
+        expanded = an._expanded_dets(minors, sizes, 1.0)
+        expanded_thr = an._signature_thresholds(an._threshold_rows(a), 1.0)
         assert (expanded > expanded_thr).all() != lapack, "no longer a flip on this BLAS"
         assert an.det_positive_all_signatures(a) == lapack
 

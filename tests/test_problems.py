@@ -3,7 +3,7 @@ import pytest
 
 from avekit import analysis as an
 from avekit import problems as pr
-from avekit._rng import XorShift64Star
+from avekit._rng import XorShift64Star, to_uniform
 from avekit.errors import NotUnique, SingularTransform
 from avekit.linalg import infinity_norm
 from avekit.oracle import enumerate_solutions, unique_solution
@@ -66,6 +66,27 @@ class TestGenerators:
         a = pr.gen_class("sdd_two_thirds", 1, seed)
         assert a.shape == (1, 1) and an.condition_profile(a).cond3
 
+    def test_sdd_redraws_a_scale_that_rounds_to_one(self):
+        # uniform(1, 1.5) of the unit draws 0 and 2^-53 rounds to 1, so
+        # row 0 takes its scale from the third draw, 0.5.
+        class ScriptedDraws:
+            draws = [0.0, 2.0**-53, 0.5, 0.7, 0.2, 0.1, 0.0]
+
+            def uniform_array(self, shape):
+                return np.array([[0.3, 0.4], [0.2, 0.1]])
+
+            def random(self):
+                return self.draws.pop(0)
+
+            def uniform(self, lo, hi):
+                return to_uniform(self.random(), lo, hi)
+
+        draws = ScriptedDraws()
+        a = pr._gen_sdd_two_thirds(draws, 2)
+        want = np.array([[-0.4 * 1.25, 0.4], [0.2, 0.2 * 1.1]])
+        assert draws.draws == []
+        assert a.tolist() == (want * (0.25 / infinity_norm(want))).tolist()
+
     def test_norm_lt_third(self):
         for seed in range(10):
             a = pr.gen_class("norm_lt_third", 4, seed)
@@ -114,30 +135,22 @@ class TestDrawWithFollowers:
     r; if hit(r), draw its follower."""
 
     @staticmethod
-    def scalar_loop(rng, hit, heads=None, hits=None):
-        mask, hit_heads, followers = [], [], []
-        while (len(mask) if hits is None else len(hit_heads)) < (heads if hits is None else hits):
-            r = rng.random()
-            mask.append(hit(r))
+    def scalar_loop(rng, hit, heads):
+        mask, followers = [], []
+        while len(mask) < heads:
+            mask.append(hit(rng.random()))
             if mask[-1]:
-                hit_heads.append(r)
                 followers.append(rng.random())
-        return mask, hit_heads, followers
+        return mask, followers
 
-    # With p = 0 no head hits, so the scalar loop of the hits mode never ends.
-    @pytest.mark.parametrize("mode, p", [(mode, p) for mode in ("heads", "hits")
-                                         for p in (0.0, 0.15, 0.5, 0.97, 1.0)
-                                         if (mode, p) != ("hits", 0.0)])
-    @pytest.mark.parametrize("count", [0, 1, 2, 300])
-    def test_matches_scalar_loop(self, mode, p, count):
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("heads", [0, 1, 2, 300], ids=lambda k: f"{k}-heads")
+    def test_matches_scalar_loop(self, p, heads):
         for seed in range(4):
             batched, scalar = XorShift64Star(seed, 9), XorShift64Star(seed, 9)
             hit = lambda r: r < p  # noqa: E731
-            mask, hit_heads, followers = pr._draw_with_followers(batched, hit, **{mode: count})
-            want = self.scalar_loop(scalar, hit, **{mode: count})
-            assert mask.tolist() == want[0]
-            assert hit_heads.tolist() == want[1]
-            assert followers.tolist() == want[2]
+            mask, followers = pr._draw_with_followers(batched, hit, heads)
+            assert (mask.tolist(), followers.tolist()) == self.scalar_loop(scalar, hit, heads)
             assert batched.random() == scalar.random()
 
 
