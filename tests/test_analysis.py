@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -202,21 +203,30 @@ def pruning_cases():
 PRUNING_CASES = pruning_cases()
 
 
+@functools.cache
+def whole_stack_radii():
+    """(radius, e) of the search over the whole half-stack of each
+    prescaled X = 2^-e A in PRUNING_CASES, tol 2^-e 1e-10. X is the same
+    for every 2^j A, so this runs once for all scales."""
+    radii = []
+    for b in PRUNING_CASES:
+        x, e = prescaled(b)
+        radii.append((la.max_abs_real_roots(half_stack(x), la.infinity_norm(x),
+                                            math.ldexp(1e-10, -e)), e))
+    return radii
+
+
 class TestSignaturePruning:
     """rho_sr_enum searches only the signatures whose bound on rho(S A)
     reaches the maximum, and must give the search over the whole
     half-stack bit for bit."""
 
-    def test_is_the_whole_stack_search(self):
+    @pytest.mark.parametrize("j", [0, 20, 60, -60])
+    def test_is_the_whole_stack_search(self, j):
         # 263 matrices at each of 4 scales, 1052 in all, tol scaled along.
-        # Both searches run on the prescaled X = 2^-e A, which is the same
-        # for every 2^j A, so the whole-stack search runs once per matrix.
-        for b in PRUNING_CASES:
-            x, e = prescaled(b)
-            whole = la.max_abs_real_roots(half_stack(x), la.infinity_norm(x), math.ldexp(1e-10, -e))
-            for j in (0, 20, 60, -60):
-                got = an.rho_sr_enum(np.ldexp(b, j), math.ldexp(1e-10, j))
-                assert got == math.ldexp(whole, e + j)
+        for b, (whole, e) in zip(PRUNING_CASES, whole_stack_radii()):
+            got = an.rho_sr_enum(np.ldexp(b, j), math.ldexp(1e-10, j))
+            assert got == math.ldexp(whole, e + j)
 
     @pytest.mark.parametrize("name, a", [
         ("zero", np.zeros((8, 8))),
