@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import math
@@ -697,10 +698,68 @@ def test_loader_matches_json_load(tmp_path_factory, text):
     '\ufeff{"n": 1, "A": [[0.5]], "b": [1]}',
     '[{"n": 1, "A": [[0.5]], "b": [1]}]',
     '',
+    # Rows orjson rejects, which the json scanner must read instead: alone
+    # they fail, and under a later "A" the file is valid.
+    '{"n": 2, "A": [[0.5, NaN], [0, 0]], "b": [1, 2]}',
+    '{"n": 2, "A": [[0.5, -Infinity], [Infinity, 0]], "b": [1, 2]}',
+    '{"n": 2, "A": [[0.5, 1e400], [0, 0]], "b": [1, 2]}',
+    '{"n": 1, "A": [[1.7976931348623159e308]], "b": [1]}',
+    '{"n": 1, "A": [[' + "9" * 400 + ']], "b": [1]}',
+    '{"n": 1, "A": [["]"]], "b": [1]}',
+    '{"n": 2, "A": [[[1], 2], [0, 0]], "b": [1, 2]}',
+    '{"n": 1, "A": [["\\ud800"]], "b": [1]}',
+    '{"n": 1, "A": [[NaN]], "b": [1], "A": [[0.25]]}',
+    '{"n": 1, "A": [[1e400]], "b": [1], "A": [[0.25]]}',
+    '{"n": 1, "A": [[' + "9" * 400 + ']], "b": [1], "A": [[0.25]]}',
+    '{"n": 1, "A": [["]", 1]], "b": [1], "A": [[0.25]]}',
+    '{"n": 1, "A": [[[1], 2]], "b": [1], "A": [[0.25]]}',
+    '{"n": 1, "A": [["\\ud800"]], "b": [1], "A": [[0.25]]}',
+    # Rows orjson accepts but whose entries do not convert.
+    '{"n": 1, "A": [[{"x": 1.0}]], "b": [1]}',
+    '{"n": 1, "A": [[{"x": 1.0}]], "b": [1], "A": [[0.25]]}',
+    # Rows orjson reads, with the doubles json.load and np.asarray give.
+    '{"n": 2, "A": [[18446744073709551616, -18446744073709551617], '
+    '[9223372036854775808, 123456789012345678901234567890]], "b": [1, 2]}',
+    '{"n": 1, "A": [[' + str(int(sys.float_info.max)) + ']], "b": [1]}',
+    '{"n": 1, "A": [[' + str(int(sys.float_info.max) + 2 ** 969) + ']], "b": [1]}',
+    '{"n": 2, "A": [["1.5", 0], [0, " -2e-3 "]], "b": [1, 2]}',
+    '{"n": 2, "A": [[-0, -0.0], [2.4703282292062328e-324, 2.4703282292062327e-324]], '
+    '"b": [1, 2]}',
+    '{"n": 2, "A": [[1.7976931348623158e308, 0], [-4.9406564584124654e-324, 1e-400]], '
+    '"b": [1, 2]}',
 ])
 def test_loader_matches_json_load_on_edge_texts(tmp_path, text):
     path = tmp_path / "p.json"
     path.write_text(text, encoding="utf-8")
+    assert_loads_as_reference(str(path))
+
+
+def hard_decimals(rng, count):
+    """Decimal texts that need every digit to round right: random-bit
+    doubles below 2^977 (subnormals included) as their repr, and the exact
+    halfway point between each and the next double, bare and nudged by
+    one unit in its last place each way."""
+    exponents = rng.integers(0, 2000, count, dtype=np.uint64)
+    exponents[::8] = 0  # subnormals and signed zeros
+    bits = (rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+            | exponents << np.uint64(52) | rng.integers(0, 2 ** 52, count, dtype=np.uint64))
+    texts = []
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        for x in bits.view(np.float64).tolist():
+            half = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+            ulp = decimal.Decimal((0, (1,), half.as_tuple().exponent))
+            texts += [repr(x), str(half), str(half - ulp), str(half + ulp)]
+    return texts
+
+
+def test_loader_is_bitwise_on_rows_of_hard_decimals(tmp_path):
+    n = 45
+    texts = hard_decimals(np.random.default_rng(28), 507)[:n * n]
+    rows = ", ".join("[" + ", ".join(texts[i:i + n]) + "]" for i in range(0, n * n, n))
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"n": {n}, "A": [{rows}], "b": [{", ".join(["1"] * n)}]}}')
+    a = reference_load(str(path))[0]
+    assert np.count_nonzero(a) > n * n // 2 and np.count_nonzero(np.abs(a) < 2.3e-308) > n
     assert_loads_as_reference(str(path))
 
 
