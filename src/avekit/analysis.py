@@ -76,7 +76,10 @@ def is_irreducible(a) -> bool:
 
     Every 1x1 matrix counts as irreducible.
     """
-    a = as_square_matrix(a)
+    return _irreducible(as_square_matrix(a))
+
+
+def _irreducible(a: np.ndarray) -> bool:
     n = a.shape[0]
     adj = a != 0.0
 
@@ -94,20 +97,33 @@ def is_irreducible(a) -> bool:
 
 def is_strictly_diag_dominant(a) -> bool:
     """True iff |a_ii| > sum_{j != i} |a_ij| for every row."""
-    a = as_square_matrix(a)
-    off = np.abs(a)
-    diag = off.diagonal().copy()
-    np.fill_diagonal(off, 0.0)
-    return bool((diag > off.sum(axis=1)).all())
+    return _diag_dominant(np.abs(as_square_matrix(a)))
+
+
+def _diag_dominant(abs_a: np.ndarray) -> bool:
+    """``is_strictly_diag_dominant`` of the matrix whose |A| is ``abs_a``:
+    the off-diagonal sums are taken with the diagonal zeroed in place,
+    then restored, so no copy of |A| is made."""
+    diag = abs_a.diagonal().copy()
+    np.fill_diagonal(abs_a, 0.0)
+    off = abs_a.sum(axis=1)
+    np.fill_diagonal(abs_a, diag)
+    return bool((diag > off).all())
 
 
 def is_tridiag_abs_symmetric(a) -> bool:
     """True iff a_ij = 0 for |i - j| > 1 and |A| is symmetric."""
-    a = as_square_matrix(a)
-    if (np.triu(a, 2) != 0.0).any() or (np.tril(a, -2) != 0.0).any():
+    return _tridiag_abs_symmetric(np.abs(as_square_matrix(a)))
+
+
+def _tridiag_abs_symmetric(abs_a: np.ndarray) -> bool:
+    """``is_tridiag_abs_symmetric`` of the matrix whose |A| is ``abs_a``:
+    every nonzero lies on the three central diagonals when those hold all
+    of them, and then |A| is symmetric when its two off-diagonals agree."""
+    band = sum(np.count_nonzero(abs_a.diagonal(k)) for k in (-1, 0, 1))
+    if band != np.count_nonzero(abs_a):
         return False
-    abs_a = np.abs(a)
-    return bool(np.array_equal(abs_a, abs_a.T))
+    return bool(np.array_equal(abs_a.diagonal(1), abs_a.diagonal(-1)))
 
 
 @dataclass(frozen=True)
@@ -132,13 +148,17 @@ class ConditionProfile:
 
 
 def condition_profile(a) -> ConditionProfile:
+    """The four conditions from one validation and one |A|, which gives
+    the norm (bitwise ``infinity_norm(a)``) and the sdd and tridiagonal
+    tests."""
     a = as_square_matrix(a)
     n = a.shape[0]
-    norm = infinity_norm(a)
+    abs_a = np.abs(a)
+    norm = float(abs_a.sum(axis=1).max())
     c1 = norm < 0.5
-    c2 = norm <= 0.5 and is_irreducible(a)
-    c3 = norm <= 2.0 / 3.0 and is_strictly_diag_dominant(a)
-    c4 = n >= 2 and norm < 1.0 and is_tridiag_abs_symmetric(a)
+    c2 = norm <= 0.5 and _irreducible(a)
+    c3 = norm <= 2.0 / 3.0 and _diag_dominant(abs_a)
+    c4 = n >= 2 and norm < 1.0 and _tridiag_abs_symmetric(abs_a)
     return ConditionProfile(
         norm_inf=norm, cond1=c1, cond2=c2, cond3=c3, cond4=c4,
         any=c1 or c2 or c3 or c4,

@@ -5,16 +5,17 @@ Problems travel as JSON files:
     {"n": 2, "A": [[...], [...]], "b": [...],
      "known_solution": [...]?, "metadata": {...}?}
 
-``load_problem`` accepts what ``json.load`` accepts and converts ``A``
-row by row.  A row that starts with ``[`` is first read by ``orjson``
-up to its first ``]``; if orjson accepts that slice and ``np.asarray``
-converts the result, that is the row.  Every other row, and every other
-value of the file, is scanned by the ``json`` module's own scanner.
-Reports are JSON too, with the residual always recomputed from the raw
-inputs.  ``_write_json`` is the one writer: it streams the bytes of
-``json.dump(data, indent=2)`` to ``--out`` or stdout, writes ndarrays as
-their nested lists one row at a time, and joins each list of finite
-floats in one call.  The argument parser is built once, at import.
+``load_problem`` accepts what ``json.load`` accepts, reads the file in
+pieces and converts ``A`` row by row.  A row that starts with ``[`` is
+first read by ``orjson`` up to its first ``]``; if orjson accepts that
+slice and its values pack as doubles, that is the row.  Every other
+row, and every other value of the file, is scanned by the ``json``
+module's own scanner.  Reports are JSON too, with the residual always
+recomputed from the raw inputs.  ``_write_json`` is the one writer: it
+streams the bytes of ``json.dump(data, indent=2)`` to ``--out`` or
+stdout, writes ndarrays as their nested lists one row at a time, and
+joins in one call each list of finite floats and each dict or list of
+scalars.  The argument parser is built once, at import.
 
 The commands raise; ``main`` is the one error boundary and turns any
 ``CliError``, ``AvekitError``, ``ValueError`` or ``OSError`` (an
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import math
 import os
+import struct
 import sys
 import time
 from json.decoder import WHITESPACE, JSONDecodeError, JSONDecoder, scanstring
@@ -76,6 +78,56 @@ def _numeric_field(path: str, data: dict, name: str) -> np.ndarray:
 _scan_once = JSONDecoder().scan_once
 _skip_ws = WHITESPACE.match
 
+# Characters the loader reads at a time.  A scan that needs more than the
+# window holds reads at least as much again, so a long value costs
+# O(length) however it falls across reads.
+_CHUNK = 1 << 18
+
+# Characters after the end of a scanned value that decide where it ends:
+# a number cut after "1.5" may go on as "1.5e-3".
+_LOOKAHEAD = 3
+
+
+class _Window:
+    """The text of a stream from the last position still needed on, read
+    by ``read(size)`` ``_CHUNK`` characters at a time, or the whole
+    ``text`` when ``read`` is None; ``eof`` is whether the stream is
+    exhausted, which a read shorter than asked for shows (a text file's
+    ``read(size)`` returns ``size`` characters until its end)."""
+
+    def __init__(self, read, text: str = ""):
+        self.read = read
+        self.text = text
+        self.eof = read is None
+
+    def scan(self, step, end: int):
+        """``step(text, end)``: a tuple whose last item is where the
+        scanned text ends, or None when the window is too short to tell.
+        While it raises JSONDecodeError, returns None or ends within
+        ``_LOOKAHEAD`` of the window's end before the stream is exhausted,
+        the text before ``end`` is let go and more is read, and the step
+        runs again.  Positions are relative to the window at return."""
+        if self.eof:
+            return step(self.text, end)
+        while True:
+            try:
+                result = step(self.text, end)
+            except JSONDecodeError:
+                if self.eof:
+                    raise
+                result = None
+            if result is not None and (self.eof or result[-1] + _LOOKAHEAD <= len(self.text)):
+                return result
+            size = max(_CHUNK, len(self.text) - end)
+            chunk = self.read(size)
+            self.text = self.text[end:] + chunk
+            self.eof = len(chunk) < size
+            end = 0
+
+
+def _skip(text: str, end: int) -> tuple[int]:
+    return (_skip_ws(text, end).end(),)
+
 
 def _scan_value(text: str, end: int):
     """The JSON value starting at ``end`` and where it ends."""
@@ -85,80 +137,106 @@ def _scan_value(text: str, end: int):
         raise JSONDecodeError("Expecting value", text, exc.value) from None
 
 
-def _scan_members(text: str, end: int, close: str, member) -> int:
-    """Scan the members of the JSON array or object whose opening bracket
-    ends at ``end`` and whose closing bracket is ``close``.
-    ``member(text, end)`` scans one member and returns where it ends;
-    returns where the container ends."""
+def _scan_item(text: str, end: int):
+    """``_scan_value``, ending after the whitespace that follows it."""
+    value, end = _scan_value(text, end)
+    return value, _skip_ws(text, end).end()
+
+
+def _scan_key(text: str, end: int):
+    """The object key after the whitespace at ``end``, and where it ends."""
     end = _skip_ws(text, end).end()
-    if text[end:end + 1] == close:
-        return end + 1
-    while True:
-        end = _skip_ws(text, member(text, end)).end()
-        if text[end:end + 1] == close:
-            return end + 1
-        if text[end:end + 1] != ",":
-            raise JSONDecodeError("Expecting ',' delimiter", text, end)
-        end = _skip_ws(text, end + 1).end()
+    if text[end:end + 1] != '"':
+        raise JSONDecodeError("Expecting property name enclosed in double quotes", text, end)
+    return scanstring(text, end + 1)
 
 
-def _parse_problem(text: str):
-    """``json.loads(text)``, except that when the top level is an object
-    and its "A" an array, that value is the list of the array's members,
-    each turned into a float array by ``np.asarray`` as soon as it is
-    scanned (a member that does not convert is kept as parsed).  So the
-    nested list of a dense ``A`` never exists, and ``np.asarray`` of the
-    list gives the same array, or the same failure, as of the parsed
-    value.
+def _parse_problem(window: _Window):
+    """``json.loads`` of the text of ``window``, except that when the top
+    level is an object and its "A" an array, that value is the list of
+    the array's members, each turned into a float array by ``np.asarray``
+    as soon as it is scanned (a member that does not convert is kept as
+    parsed).  So the nested list of a dense ``A`` never exists, and
+    ``np.asarray`` of the list gives the same array, or the same failure,
+    as of the parsed value.  Each value is scanned once the window holds
+    it whole; the positions in an error are the window's.
 
     A member that starts with ``[`` is first tried as the text up to the
     next ``]``: if ``orjson`` accepts that slice, it is a whole flat array,
     the same value the ``json`` scanner reads there, and orjson's doubles
     are correctly rounded like ``float()``'s.  Only integers past 64 bits
     differ (orjson gives their float), which ``np.asarray(dtype=float)``
-    erases.  A slice orjson rejects (NaN, Infinity, a number past the
-    double range, a nested row, a ``]`` inside a string, a lone surrogate)
-    or whose result does not convert is scanned again by ``json``."""
+    erases.  Its values become the row by ``struct.pack`` as doubles,
+    which takes only floats, ints and bools and gives each the double
+    ``np.asarray`` gives, in half the time of ``np.fromiter``.  A slice
+    orjson rejects (NaN, Infinity, a number past the double range, a
+    nested row, a ``]`` inside a string, a lone surrogate) or whose values
+    do not pack (strings, null, objects) is scanned again by ``json``."""
 
-    def row(text: str, end: int) -> int:
-        close = text.find("]", end) + 1 if text[end:end + 1] == "[" else 0
-        if close:
-            try:
-                data["A"].append(np.asarray(orjson.loads(text[end:close]), dtype=float))
-                return close
-            except (TypeError, ValueError, OverflowError):
-                pass
-        value, end = _scan_value(text, end)
+    def skip(end: int) -> int:
+        return window.scan(_skip, end)[0]
+
+    def members(end: int, close: str, member) -> int:
+        """Scan the members of the array or object whose opening bracket
+        ends at ``end`` and whose closing bracket is ``close``, each by
+        ``member(end)``, which skips the whitespace around the member;
+        returns where the container ends."""
+        end = skip(end)
+        if window.text[end:end + 1] == close:
+            return end + 1
+        while True:
+            end = member(end)
+            if window.text[end:end + 1] == close:
+                return end + 1
+            if window.text[end:end + 1] != ",":
+                raise JSONDecodeError("Expecting ',' delimiter", window.text, end)
+            end += 1
+
+    def row_of(text: str, end: int):
+        end = _skip_ws(text, end).end()
+        if text.startswith("[", end):
+            close = text.find("]", end) + 1
+            if not close and not window.eof:
+                return None
+            if close:
+                try:
+                    values = orjson.loads(text[end:close])
+                    row = np.frombuffer(struct.pack(f"{len(values)}d", *values))
+                    return row, _skip_ws(text, close).end()
+                except (ValueError, struct.error):
+                    pass
+        value, end = _scan_item(text, end)
         try:
             value = np.asarray(value, dtype=float)
         except (TypeError, ValueError, OverflowError):
             pass
+        return value, end
+
+    def row(end: int) -> int:
+        value, end = window.scan(row_of, end)
         data["A"].append(value)
         return end
 
-    def field(text: str, end: int) -> int:
-        if text[end:end + 1] != '"':
-            raise JSONDecodeError("Expecting property name enclosed in double quotes", text, end)
-        key, end = scanstring(text, end + 1)
-        end = _skip_ws(text, end).end()
-        if text[end:end + 1] != ":":
-            raise JSONDecodeError("Expecting ':' delimiter", text, end)
-        end = _skip_ws(text, end + 1).end()
-        if key == "A" and text[end:end + 1] == "[":
+    def field(end: int) -> int:
+        key, end = window.scan(_scan_key, end)
+        end = skip(end)
+        if window.text[end:end + 1] != ":":
+            raise JSONDecodeError("Expecting ':' delimiter", window.text, end)
+        end = skip(end + 1)
+        if key == "A" and window.text[end:end + 1] == "[":
             data[key] = []
-            return _scan_members(text, end + 1, "]", row)
-        data[key], end = _scan_value(text, end)
+            return skip(members(end + 1, "]", row))
+        data[key], end = window.scan(_scan_item, end)
         return end
 
-    end = _skip_ws(text, 0).end()
-    if text[end:end + 1] == "{":
+    end = skip(0)
+    if window.text[end:end + 1] == "{":
         data: dict = {}
-        end = _scan_members(text, end + 1, "}", field)
+        end = skip(members(end + 1, "}", field))
     else:
-        data, end = _scan_value(text, end)
-    end = _skip_ws(text, end).end()
-    if end != len(text):
-        raise JSONDecodeError("Extra data", text, end)
+        data, end = window.scan(_scan_item, end)
+    if end != len(window.text):
+        raise JSONDecodeError("Extra data", window.text, end)
     return data
 
 
@@ -167,27 +245,31 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
 
     The file must hold what ``json.load`` accepts, and ``A``, ``b`` and
     ``known_solution`` are what ``np.asarray(value, dtype=float)`` makes
-    of the parsed values.  The top-level object is scanned value by value
-    with the ``json`` module's own scanner, and each row of ``A`` becomes
-    a float array as soon as it is scanned, so a dense ``A`` is never a
-    nested list of Python floats.  A flat row is read by ``orjson``,
-    which gives the same doubles several times faster; a row it rejects,
-    or whose entries do not convert, is scanned by ``json`` like every
-    other value (``_parse_problem`` says why the two agree).  Any
-    unreadable, invalid or inconsistent file raises ``CliError`` naming
-    the path and the field, and so does an ``A`` whose ||A||_inf
-    overflows, on which every command would print non-finite numbers.
+    of the parsed values.  The file is read ``_CHUNK`` characters at a
+    time and its top-level object scanned value by value with the
+    ``json`` module's own scanner, and each row of ``A`` becomes a float
+    array as soon as it is scanned, so neither the file's whole text nor
+    a nested list of Python floats is ever held.  A flat row is read by
+    ``orjson``, which gives the same doubles several times faster; a row
+    it rejects, or whose entries do not pack, is scanned by ``json`` like
+    every other value (``_parse_problem`` says why the two agree).  An
+    invalid file is parsed again as one text, so that the error names
+    positions in the file.  Any unreadable, invalid or inconsistent file
+    raises ``CliError`` naming the path and the field, and so does an
+    ``A`` whose ||A||_inf overflows, on which every command would print
+    non-finite numbers.
     """
     try:
-        with open(path) as handle:
-            text = handle.read()
+        try:
+            with open(path) as handle:
+                data = _parse_problem(_Window(handle.read))
+        except (ValueError, RecursionError):
+            with open(path) as handle:
+                data = _parse_problem(_Window(None, handle.read()))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = _parse_problem(text)
     except (ValueError, RecursionError) as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
-    del text  # freed before the rows of A are stacked into one array
     if not isinstance(data, dict):
         raise CliError(f"{path}: top level must be an object")
     for name in ("n", "A", "b"):
@@ -253,47 +335,78 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
+def _json_scalar(value) -> str | None:
+    """The JSON text of a string, number, bool or None; None for any
+    other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    return None
+
+
+def _flat_text(value, level: int) -> str | None:
+    """The text of a scalar, or of a non-empty dict whose values are all
+    scalars, at nesting ``level``; None for any other value."""
+    text = _json_scalar(value)
+    if text is None and isinstance(value, dict) and value:
+        texts = [_json_scalar(item) for item in value.values()]
+        if None not in texts:
+            inner = "\n" + "  " * (level + 1)
+            text = "{" + ",".join(inner + _json_key(key) + ": " + item
+                                  for key, item in zip(value, texts)) + "\n" + "  " * level + "}"
+    return text
+
+
 def _json_chunks(value, level: int):
     """The text of ``json.dump(value, indent=2)``, in pieces.
 
-    An ndarray is written as its nested list, row by row.  A list made
-    only of finite floats is one join, and no other value is special.
+    An ndarray is written as its nested list, row by row.  A dict whose
+    values are all scalars is one join, and so is a list of finite floats
+    and a list whose items are all scalars or such dicts (an SGE trace,
+    the rows of a compare report); no other value is special.
     """
     if isinstance(value, np.ndarray):
         value = list(value) if value.ndim > 1 else value.tolist()
-    if isinstance(value, str):
-        yield encode_basestring_ascii(value)
-    elif value is None:
-        yield "null"
-    elif value is True:
-        yield "true"
-    elif value is False:
-        yield "false"
-    elif isinstance(value, int):
-        yield int.__repr__(value)
-    elif isinstance(value, float):
-        yield _json_float(value)
-    elif isinstance(value, (list, tuple, dict)):
-        if not value:
-            yield "{}" if isinstance(value, dict) else "[]"
-            return
-        inner = "\n" + "  " * (level + 1)
-        close = "\n" + "  " * level
-        if isinstance(value, dict):
-            yield "{"
-            for i, (key, item) in enumerate(value.items()):
-                yield ("," if i else "") + inner + _json_key(key) + ": "
-                yield from _json_chunks(item, level + 1)
-            yield close + "}"
-        elif set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + close + "]"
-        else:
-            for i, item in enumerate(value):
-                yield ("," if i else "[") + inner
-                yield from _json_chunks(item, level + 1)
-            yield close + "]"
-    else:
+    text = _flat_text(value, level)
+    if text is not None:
+        yield text
+        return
+    if not isinstance(value, (list, tuple, dict)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield ("," if i else "") + inner + _json_key(key) + ": "
+            yield from _json_chunks(item, level + 1)
+        yield close + "}"
+    elif set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + close + "]"
+    else:
+        texts = [_flat_text(item, level + 1) for item in value]
+        if None not in texts:
+            yield "[" + inner + ("," + inner).join(texts) + close + "]"
+            return
+        for i, (item, text) in enumerate(zip(value, texts)):
+            yield ("," if i else "[") + inner
+            if text is None:
+                yield from _json_chunks(item, level + 1)
+            else:
+                yield text
+        yield close + "]"
 
 
 def _write_json(data: dict, out: str | None) -> None:

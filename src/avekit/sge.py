@@ -5,11 +5,13 @@ P (I - A S) P^T with diagonal pivots in pick order, by the Crout-panel
 kernel that ``linalg.lu_factor`` uses too: ``lu`` starts as -A, so a
 column becomes that of I - A S once it is scaled by its sign and its
 pivot gets 1 added.  Each pick is swapped symmetrically to the next
-pivot position, its column caught up with the open panel
-(``linalg.catch_up_column``; the scaling and the +1 commute with the
-pending updates, which are linear in the column and never touch I), and
-eliminated by ``linalg.elimination_step``, which also forward-substitutes
-y; ``linalg.back_substitute`` recovers z.
+pivot position, its column scaled as it moves, caught up with the open
+panel (``linalg.catch_up_column``; the scaling and the +1 commute with
+the pending updates, which are linear in the column and never touch I),
+and eliminated by ``linalg.elimination_step``, which also
+forward-substitutes y; ``linalg.back_substitute`` recovers z.  A list
+of positions by index replaces a search of the permutation, and a round
+whose largest |y| is unique takes it from one ``argmax``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .analysis import condition_profile
 from .errors import PivotBreakdown
-from .linalg import back_substitute, catch_up_column, elimination_step, pivot_threshold
+from .linalg import back_substitute, catch_up_column, elimination_step, threshold_of_norms
 from .problems import AveProblem, residual
 from .report import SolveReport, Status
 
@@ -34,21 +36,26 @@ class EliminationRecord:
     round: int
 
 
-def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], p: int, k: int, s: int,
-         threshold: float) -> None:
+def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], pos: list[int], p: int, k: int,
+         s: int, threshold: float) -> None:
     """Move original index k to pivot position p (``perm`` maps positions
-    to indices), catch its column up with the open panel, make it that of
-    I - A S for sign(z_k) = s, and raise PivotBreakdown when the pivot
-    1 - a'_kk s vanishes."""
-    q = perm.index(k, p)
+    to indices and ``pos`` indices to positions), make its column that of
+    I - A S for sign(z_k) = s, catch it up with the open panel, and raise
+    PivotBreakdown when the pivot 1 - a'_kk s vanishes.  The sign is
+    applied as the column moves; it commutes with the catch-up, which is
+    linear in the column."""
+    q = pos[k]
     if q != p:
         lu[p], lu[q] = lu[q], lu[p].copy()
-        lu[:, p], lu[:, q] = lu[:, q], lu[:, p].copy()
+        col = lu[:, p].copy()
+        np.multiply(lu[:, q], s, out=lu[:, p])
+        lu[:, q] = col
         y[p], y[q] = y[q], y[p]
         perm[p], perm[q] = k, perm[p]
-    catch_up_column(lu, p)
-    if s < 0:
+        pos[k], pos[perm[q]] = p, q
+    elif s < 0:
         lu[:, p] *= -1.0
+    catch_up_column(lu, p)
     lu[p, p] += 1.0
     if abs(lu[p, p]) <= threshold:
         raise PivotBreakdown(f"1 - a[{k},{k}]*({s:+d}) vanished")
@@ -59,9 +66,12 @@ def _round_picks(y: np.ndarray, perm: list[int], p: int) -> list[tuple[int, int]
     in ascending index order, signs read before any is eliminated; empty
     when that y is all zero."""
     mags = np.abs(y[p:])
-    top = mags.max()
+    i = int(mags.argmax())
+    top = mags[i]
     if top == 0.0:
         return []
+    if not (mags[i + 1:] == top).any():
+        return [(perm[p + i], 1 if y[p + i] >= 0.0 else -1)]
     chosen = sorted((perm[p + i], p + i) for i in np.flatnonzero(mags == top).tolist())
     return [(k, 1 if y[q] >= 0.0 else -1) for k, q in chosen]
 
@@ -82,10 +92,11 @@ def sge_solve(problem: AveProblem) -> SolveReport:
     """
     n = problem.n
     profile = condition_profile(problem.a)
-    threshold = pivot_threshold(problem.a)
+    threshold = threshold_of_norms(profile.norm_inf)
     lu = -problem.a
     y = problem.b.copy()
     perm = list(range(n))
+    pos = list(range(n))
     signs = np.ones(n, dtype=np.int64)
     trace: list[EliminationRecord] = []
     p = 0
@@ -97,7 +108,7 @@ def sge_solve(problem: AveProblem) -> SolveReport:
                 # Closed subsystem with zero right-hand side: its solution is 0.
                 break
             for k, s in picks:
-                _pin(lu, y, perm, p, k, s, threshold)
+                _pin(lu, y, perm, pos, p, k, s, threshold)
                 elimination_step(lu, p, y)
                 trace.append(EliminationRecord(index=k, sign=s, round=round_no))
                 signs[k] = s
@@ -106,7 +117,7 @@ def sge_solve(problem: AveProblem) -> SolveReport:
 
         if n - p == 1:
             signs[perm[p]] = s = 1 if y[p] >= 0.0 else -1
-            _pin(lu, y, perm, p, perm[p], s, threshold)
+            _pin(lu, y, perm, pos, p, perm[p], s, threshold)
             p += 1
     except PivotBreakdown:
         return SolveReport(

@@ -105,6 +105,86 @@ class TestConditionProfile:
             assert p.any == (p.cond1 or p.cond2 or p.cond3 or p.cond4)
 
 
+def reference_irreducible(a):
+    n = a.shape[0]
+    adj = a != 0.0
+
+    def reaches_all(edges):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
+
+    return reaches_all(adj) and reaches_all(adj.T)
+
+
+def reference_sdd(a):
+    off = np.abs(a)
+    diag = off.diagonal().copy()
+    np.fill_diagonal(off, 0.0)
+    return bool((diag > off.sum(axis=1)).all())
+
+
+def reference_tridiag(a):
+    if (np.triu(a, 2) != 0.0).any() or (np.tril(a, -2) != 0.0).any():
+        return False
+    abs_a = np.abs(a)
+    return bool(np.array_equal(abs_a, abs_a.T))
+
+
+def reference_profile(a):
+    """condition_profile as three separate predicates, each validating
+    and building its own |A|."""
+    n = a.shape[0]
+    norm = la.infinity_norm(a)
+    c1 = norm < 0.5
+    c2 = norm <= 0.5 and reference_irreducible(a)
+    c3 = norm <= 2.0 / 3.0 and reference_sdd(a)
+    c4 = n >= 2 and norm < 1.0 and reference_tridiag(a)
+    return an.ConditionProfile(norm_inf=norm, cond1=c1, cond2=c2, cond3=c3, cond4=c4,
+                               any=c1 or c2 or c3 or c4)
+
+
+def predicate_cases():
+    """Sparse dyadic matrices, so that sums are exact and ties between a
+    diagonal and its off-diagonal sum happen; signed zeros included."""
+    g = np.random.default_rng(30)
+    values = np.array([0.0, -0.0, 0.0625, -0.0625, 0.125, -0.125, 0.25, -0.25, 0.5, -0.5])
+    cases = []
+    for i in range(2000):
+        n = 1 + i % 6
+        a = g.choice(values, size=(n, n)) * (g.random((n, n)) < g.uniform(0.1, 1.0))
+        if i % 3 == 0:
+            a = np.triu(np.tril(a, 1), -1)  # within the band, |A| often symmetric
+            a.T[np.triu_indices(n, 1)] = np.abs(a[np.triu_indices(n, 1)]) * g.choice([-1.0, 1.0])
+        cases.append(a)
+    for n in (1, 2):
+        for bits in range(3 ** (n * n)):
+            digits = [(bits // 3 ** k) % 3 for k in range(n * n)]
+            cases.append(np.array([(0.0, -0.0, 0.25)[d] for d in digits]).reshape(n, n))
+    wide = np.diag(np.full(4, 0.25), 2) + np.diag(np.full(4, -0.25), -2)
+    cases += [wide, 0.5 * wide, -np.eye(3) * 0.0, np.diag([0.5, -0.0, 0.25]) + np.diag([-0.0, -0.0], 1)]
+    return cases
+
+
+class TestFusedPredicates:
+    def test_match_the_separate_predicates(self):
+        for a in predicate_cases():
+            abs_a = np.abs(a)
+            assert an._diag_dominant(abs_a) == reference_sdd(a)
+            assert an._tridiag_abs_symmetric(abs_a) == reference_tridiag(a)
+            assert np.array_equal(abs_a, np.abs(a))  # _diag_dominant restored it
+            assert an._irreducible(a) == reference_irreducible(a)
+            assert an.is_strictly_diag_dominant(a) == reference_sdd(a)
+            assert an.is_tridiag_abs_symmetric(a) == reference_tridiag(a)
+            assert an.is_irreducible(a) == reference_irreducible(a)
+            for scale in (1.0, 2.0, 4.0):
+                assert an.condition_profile(scale * a) == reference_profile(scale * a)
+
+
 class TestNeqSet:
     def test_trap_instance(self):
         problem, z = pr.sge_trap_instance(0.01)

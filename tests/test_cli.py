@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -663,14 +664,16 @@ def problem_texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=problem_texts())
-def test_loader_matches_json_load(tmp_path_factory, text):
+@given(text=problem_texts(), chunk=st.sampled_from([1, 2, 5, cli._CHUNK]))
+def test_loader_matches_json_load(tmp_path_factory, text, chunk):
     path = tmp_path_factory.mktemp("load") / "p.json"
     path.write_text(text)
-    assert_loads_as_reference(str(path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK", chunk)
+        assert_loads_as_reference(str(path))
 
 
-@pytest.mark.parametrize("text", [
+EDGE_TEXTS = [
     ' \t{"n":1,"A":[ [ 0.5 ] ,\r\n[0.25]\n]\t,"b":[1]} \n',
     '{"n": 1, "A": [[0.5]], "b": [1]}',
     '{"n": 1, "A": [["x"]], "b": [1], "A": [[0.25]]}',
@@ -727,11 +730,51 @@ def test_loader_matches_json_load(tmp_path_factory, text):
     '"b": [1, 2]}',
     '{"n": 2, "A": [[1.7976931348623158e308, 0], [-4.9406564584124654e-324, 1e-400]], '
     '"b": [1, 2]}',
-])
+    # Rows orjson reads whose values are null, bools and an integer past
+    # 64 bits.
+    '{"n": 1, "A": [[null]], "b": [1]}',
+    '{"n": 2, "A": [[true, false], [false, true]], "b": [1, 2]}',
+    '{"n": 2, "A": [[1, 18446744073709551616], [0, 1]], "b": [1, 2]}',
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
 def test_loader_matches_json_load_on_edge_texts(tmp_path, text):
     path = tmp_path / "p.json"
     path.write_text(text, encoding="utf-8")
     assert_loads_as_reference(str(path))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_loader_reads_edge_texts_in_any_pieces(tmp_path, monkeypatch, chunk):
+    # Every value, row and run of whitespace falls across reads somewhere.
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for i, text in enumerate(EDGE_TEXTS):
+        path = tmp_path / f"p{i}.json"
+        path.write_text(text, encoding="utf-8")
+        assert_loads_as_reference(str(path))
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 1000])
+def test_loader_reads_a_written_problem_in_pieces(tmp_path, monkeypatch, chunk):
+    problem, z = pr.random_instance("norm_lt_half", 40, 3)
+    path = tmp_path / "p.json"
+    cli._write_json(cli.problem_to_dict(problem, z, {"class": "norm-lt-half"}), str(path))
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    assert_loads_as_reference(str(path))
+
+
+def test_loader_error_names_the_position_in_the_file(tmp_path, monkeypatch):
+    # The missing comma lies many reads into the file.
+    monkeypatch.setattr(cli, "_CHUNK", 16)
+    rows = ", ".join(["[0.5, 0.25]"] * 200)
+    text = f'{{"n": 2, "b": [1, 2], "A": [{rows} [0.5, 0.25]]}}'
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(cli.CliError, match=re.escape(str(want.value))):
+        cli.load_problem(str(path))
 
 
 def hard_decimals(rng, count):
@@ -811,3 +854,15 @@ def test_write_json_writes_arrays_as_their_lists(tmp_path_factory, arr):
     data = {"A": arr, "n": 1}
     assert written_text(tmp_path_factory, data) == json.dumps(
         {"A": arr.tolist(), "n": 1}, indent=2) + "\n"
+
+
+def test_write_json_is_json_dump_text_on_reports(tmp_path_factory):
+    # An n = 1000 SGE report writes its trace as n flat dicts, and a
+    # compare report its rows as flat dicts: each is one join.
+    g = np.random.default_rng(17)
+    problem = pr.AveProblem(np.diag(g.uniform(-0.4, 0.4, 1000)), g.uniform(-1.0, 1.0, 1000))
+    report = cli._report_dict(cli.sge.sge_solve(problem), 1.5)
+    assert len(report["trace"]) == 999
+    rows = [cli._compare_one(*case) for case in cli._demo_suite() + cli._random_suite()[:4]]
+    for data in (report, {"instances": rows, "summary": {"both": 1}, "skipped": []}):
+        assert written_text(tmp_path_factory, data) == json.dumps(data, indent=2) + "\n"

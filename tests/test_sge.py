@@ -26,11 +26,12 @@ class Elimination:
     def __init__(self, a, b):
         self.lu, self.y = -np.asarray(a, dtype=float), np.array(b, dtype=float)
         self.perm = list(range(len(b)))
+        self.pos = list(range(len(b)))
         self.p = 0
         self.threshold = pivot_threshold(a)
 
     def eliminate(self, k, s):
-        _pin(self.lu, self.y, self.perm, self.p, k, s, self.threshold)
+        _pin(self.lu, self.y, self.perm, self.pos, self.p, k, s, self.threshold)
         elimination_step(self.lu, self.p, self.y)
         self.p += 1
 
@@ -160,6 +161,31 @@ class TestSgeSolve:
         assert trace == [(2, 1, 0), (0, 1, 1), (1, -1, 1), (3, 1, 2)]
         assert np.array_equal(report.signs, [1, -1, 1, 1, 1])
         assert np.array_equal(report.z, b / (1.0 - 0.25 * report.signs))
+
+    def test_tie_round_beyond_one_panel(self, monkeypatch):
+        # A coupled block on indices 0..49 keeps |y| above 1 there; the
+        # decoupled indices 50..79 keep y = b, with distinct magnitudes
+        # except a tie between 55 and 79, of which 15 are larger: the tie
+        # round eliminates at positions 65 and 66, past the first panel.
+        g = rng(65)
+        n = 80
+        a = 0.25 * np.eye(n)
+        a[:50, :50] += g.uniform(-0.1, 0.1, (50, 50)) / 50
+        b = np.empty(n)
+        b[:50] = g.uniform(2.0, 3.0, 50) * g.choice([-1.0, 1.0], 50)
+        mags = np.linspace(0.9, 0.01, 29)
+        others = g.permutation([i for i in range(50, 79) if i != 55])
+        b[others] = np.delete(mags, 15) * g.choice([-1.0, 1.0], 28)
+        b[55], b[79] = -mags[15], mags[15]
+        problem = pr.AveProblem(a, b)
+        report = sge_solve(problem)
+        trace = report.elimination_trace
+        assert [(r.index, r.sign) for r in trace[65:67]] == [(55, -1), (79, 1)]
+        assert trace[65].round == trace[66].round != trace[64].round
+        system = np.eye(n) - a * report.signs[None, :]
+        assert np.abs(system @ report.z - b).max() <= 1e-14
+        monkeypatch.setattr(linalg, "_PANEL", 1)
+        assert sge_solve(problem).elimination_trace == trace
 
     def test_unit_diagonal_reports_breakdown(self):
         report = sge_solve(pr.AveProblem(np.array([[1.0]]), np.array([2.0])))
