@@ -107,8 +107,6 @@ class _Window:
         ``_LOOKAHEAD`` of the window's end before the stream is exhausted,
         the text before ``end`` is let go and more is read, and the step
         runs again.  Positions are relative to the window at return."""
-        if self.eof:
-            return step(self.text, end)
         while True:
             try:
                 result = step(self.text, end)

@@ -18,7 +18,9 @@ residual b - (z - A S z).  Flips on zero columns of A change nothing and
 leave J, so a step whose flips all fall there returns y_b bitwise.  A
 step refactors from scratch when r exceeds n / ``_UPDATE_SHARE`` or C
 fails its pivot threshold; the fresh factorization then decides
-``SINGULAR`` as every step's did before.
+``SINGULAR`` as every step's did before.  An updated step is held to
+C's pivot threshold, not to that of its own LU: as det(I - A S) =
+det(I - A S_b) det(C), C's pivots decide whether the step is solved.
 """
 
 from __future__ import annotations
