@@ -251,8 +251,8 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
     ``orjson``, which gives the same doubles several times faster; a row
     it rejects, or whose entries do not pack, is scanned by ``json`` like
     every other value (``_parse_problem`` says why the two agree).  An
-    invalid file is parsed again as one text, so that the error names
-    positions in the file.  Any unreadable, invalid or inconsistent file
+    invalid regular file is parsed again as one text, so that the error
+    names positions in the file.  Any unreadable, invalid or inconsistent file
     raises ``CliError`` naming the path and the field, and so does an
     ``A`` whose ||A||_inf overflows, on which every command would print
     non-finite numbers.
@@ -262,6 +262,8 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
             with open(path) as handle:
                 data = _parse_problem(_Window(handle.read))
         except (ValueError, RecursionError):
+            if not os.path.isfile(path):  # a pipe cannot be read again
+                raise
             with open(path) as handle:
                 data = _parse_problem(_Window(None, handle.read()))
     except (OSError, UnicodeDecodeError) as exc:
