@@ -43,7 +43,8 @@ def _pin(lu: np.ndarray, y: np.ndarray, perm: list[int], pos: list[int], p: int,
     I - A S for sign(z_k) = s, catch it up with the open panel, and raise
     PivotBreakdown when the pivot 1 - a'_kk s vanishes.  The sign is
     applied as the column moves; it commutes with the catch-up, which is
-    linear in the column."""
+    linear in the column, exactly but for the sign of an entry that
+    cancels to zero."""
     q = pos[k]
     if q != p:
         lu[p], lu[q] = lu[q], lu[p].copy()
