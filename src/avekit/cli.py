@@ -5,17 +5,15 @@ Problems travel as JSON files:
     {"n": 2, "A": [[...], [...]], "b": [...],
      "known_solution": [...]?, "metadata": {...}?}
 
-``load_problem`` accepts what ``json.load`` accepts, reads the file in
-pieces and converts ``A`` row by row.  A row that starts with ``[`` is
-first read by ``orjson`` up to its first ``]``; if orjson accepts that
-slice and its values pack as doubles, that is the row.  Every other
-row, and every other value of the file, is scanned by the ``json``
-module's own scanner.  Reports are JSON too, with the residual always
-recomputed from the raw inputs.  ``_write_json`` is the one writer: it
-streams the bytes of ``json.dump(data, indent=2)`` to ``--out`` or
-stdout, writes ndarrays as their nested lists one row at a time, and
-joins in one call each list of finite floats and each dict or list of
-scalars.  The argument parser is built once, at import.
+``load_problem`` accepts what ``json.load`` accepts.  A regular file in
+the layout ``generate`` writes is read in pieces, with each row of ``A``
+read by ``orjson`` into a float array; every other file, an invalid one
+or a pipe is ``json.load``'s.  Reports are JSON too, with the residual
+always recomputed from the raw inputs.  ``_write_json`` is the one
+writer: it writes the bytes of ``json.dump(data, indent=2)`` to
+``--out`` or stdout, ndarrays as their nested lists, each value as one
+string except a top-level matrix, which goes one row at a time.  The
+argument parser is built once, at import.
 
 The commands raise; ``main`` is the one error boundary and turns any
 ``CliError``, ``AvekitError``, ``ValueError`` or ``OSError`` (an
@@ -28,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
 import os
 import struct
@@ -90,15 +89,14 @@ _LOOKAHEAD = 3
 
 class _Window:
     """The text of a stream from the last position still needed on, read
-    by ``read(size)`` ``_CHUNK`` characters at a time, or the whole
-    ``text`` when ``read`` is None; ``eof`` is whether the stream is
-    exhausted, which a read shorter than asked for shows (a text file's
-    ``read(size)`` returns ``size`` characters until its end)."""
+    by ``read(size)`` ``_CHUNK`` characters at a time; ``eof`` is whether
+    the stream is exhausted, which a read shorter than asked for shows (a
+    text file's ``read(size)`` returns ``size`` characters until its end)."""
 
-    def __init__(self, read, text: str = ""):
+    def __init__(self, read):
         self.read = read
-        self.text = text
-        self.eof = read is None
+        self.text = ""
+        self.eof = False
 
     def scan(self, step, end: int):
         """``step(text, end)``: a tuple whose last item is where the
@@ -127,17 +125,13 @@ def _skip(text: str, end: int) -> tuple[int]:
     return (_skip_ws(text, end).end(),)
 
 
-def _scan_value(text: str, end: int):
-    """The JSON value starting at ``end`` and where it ends."""
+def _scan_item(text: str, end: int):
+    """The JSON value starting at ``end``, and where the whitespace that
+    follows it ends."""
     try:
-        return _scan_once(text, end)
+        value, end = _scan_once(text, end)
     except StopIteration as exc:
         raise JSONDecodeError("Expecting value", text, exc.value) from None
-
-
-def _scan_item(text: str, end: int):
-    """``_scan_value``, ending after the whitespace that follows it."""
-    value, end = _scan_value(text, end)
     return value, _skip_ws(text, end).end()
 
 
@@ -149,27 +143,26 @@ def _scan_key(text: str, end: int):
     return scanstring(text, end + 1)
 
 
-def _parse_problem(window: _Window):
-    """``json.loads`` of the text of ``window``, except that when the top
-    level is an object and its "A" an array, that value is the list of
-    the array's members, each turned into a float array by ``np.asarray``
-    as soon as it is scanned (a member that does not convert is kept as
-    parsed).  So the nested list of a dense ``A`` never exists, and
-    ``np.asarray`` of the list gives the same array, or the same failure,
-    as of the parsed value.  Each value is scanned once the window holds
-    it whole; the positions in an error are the window's.
+def _parse_problem(window: _Window) -> dict:
+    """``json.loads`` of the text of ``window`` when it has the layout
+    ``generate`` writes, except that the "A" array is the list of its rows
+    as float arrays; raises ValueError for any other text.
 
-    A member that starts with ``[`` is first tried as the text up to the
-    next ``]``: if ``orjson`` accepts that slice, it is a whole flat array,
-    the same value the ``json`` scanner reads there, and orjson's doubles
-    are correctly rounded like ``float()``'s.  Only integers past 64 bits
-    differ (orjson gives their float), which ``np.asarray(dtype=float)``
-    erases.  Its values become the row by ``struct.pack`` as doubles,
-    which takes only floats, ints and bools and gives each the double
-    ``np.asarray`` gives, in half the time of ``np.fromiter``.  A slice
-    orjson rejects (NaN, Infinity, a number past the double range, a
-    nested row, a ``]`` inside a string, a lone surrogate) or whose values
-    do not pack (strings, null, objects) is scanned again by ``json``."""
+    That layout is a top-level object whose "A", if an array, has members
+    that are flat arrays ``orjson`` accepts and whose values pack as
+    doubles.  The other values are scanned by the ``json`` module's own
+    scanner once the window holds them whole, and every structural check
+    ``json`` makes is made, so a text the scan accepts is one ``json.loads``
+    accepts.  A row is the text up to the next ``]``: a slice orjson accepts
+    is one value that ends there, so a whole flat array, the value the
+    ``json`` scanner reads there, and orjson's doubles are correctly rounded like
+    ``float()``'s.  Only integers past 64 bits differ (orjson gives their
+    float), which ``np.asarray(dtype=float)`` erases.  The values become
+    the row by ``struct.pack`` as doubles, which takes only floats, ints
+    and bools and gives each the double ``np.asarray`` gives, in half the
+    time of ``np.fromiter``.  So the nested list of a dense ``A`` never
+    exists, and ``np.asarray`` of the list of rows is that of the parsed
+    value."""
 
     def skip(end: int) -> int:
         return window.scan(_skip, end)[0]
@@ -192,23 +185,17 @@ def _parse_problem(window: _Window):
 
     def row_of(text: str, end: int):
         end = _skip_ws(text, end).end()
-        if text.startswith("[", end):
-            close = text.find("]", end) + 1
-            if not close and not window.eof:
-                return None
-            if close:
-                try:
-                    values = orjson.loads(text[end:close])
-                    row = np.frombuffer(struct.pack(f"{len(values)}d", *values))
-                    return row, _skip_ws(text, close).end()
-                except (ValueError, struct.error):
-                    pass
-        value, end = _scan_item(text, end)
+        close = text.find("]", end) + 1
+        if not close and not window.eof:
+            return None
         try:
-            value = np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        return value, end
+            values = orjson.loads(text[end:close])
+            row = np.frombuffer(struct.pack(f"{len(values)}d", *values))
+        except (ValueError, struct.error):
+            # Not a JSONDecodeError, which orjson's error is and which
+            # would make the window read on for a longer row.
+            raise ValueError("a row of 'A' is not a flat array of numbers") from None
+        return row, _skip_ws(text, close).end()
 
     def row(end: int) -> int:
         value, end = window.scan(row_of, end)
@@ -228,11 +215,10 @@ def _parse_problem(window: _Window):
         return end
 
     end = skip(0)
-    if window.text[end:end + 1] == "{":
-        data: dict = {}
-        end = skip(members(end + 1, "}", field))
-    else:
-        data, end = window.scan(_scan_item, end)
+    if window.text[end:end + 1] != "{":
+        raise ValueError("the top level is not an object")
+    data: dict = {}
+    end = skip(members(end + 1, "}", field))
     if end != len(window.text):
         raise JSONDecodeError("Extra data", window.text, end)
     return data
@@ -243,29 +229,25 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
 
     The file must hold what ``json.load`` accepts, and ``A``, ``b`` and
     ``known_solution`` are what ``np.asarray(value, dtype=float)`` makes
-    of the parsed values.  The file is read ``_CHUNK`` characters at a
-    time and its top-level object scanned value by value with the
-    ``json`` module's own scanner, and each row of ``A`` becomes a float
-    array as soon as it is scanned, so neither the file's whole text nor
-    a nested list of Python floats is ever held.  A flat row is read by
-    ``orjson``, which gives the same doubles several times faster; a row
-    it rejects, or whose entries do not pack, is scanned by ``json`` like
-    every other value (``_parse_problem`` says why the two agree).  An
-    invalid regular file is parsed again as one text, so that the error
-    names positions in the file.  Any unreadable, invalid or inconsistent file
-    raises ``CliError`` naming the path and the field, and so does an
-    ``A`` whose ||A||_inf overflows, on which every command would print
-    non-finite numbers.
+    of the parsed values.  A regular file is first read ``_CHUNK``
+    characters at a time by ``_parse_problem``, which turns each row of
+    ``A`` into a float array as soon as it is read, so neither the file's
+    whole text nor a nested list of Python floats is held for a file that
+    ``generate`` wrote.  Every other file, an invalid one or one that is
+    not regular (a pipe) is read by ``json.load``, whose errors, file
+    positions included, are the ones reported.  Any unreadable, invalid
+    or inconsistent file raises ``CliError`` naming the path and the
+    field, and so does an ``A`` whose ||A||_inf overflows, on which every
+    command would print non-finite numbers.
     """
     try:
-        try:
-            with open(path) as handle:
+        data = None
+        if os.path.isfile(path):
+            with contextlib.suppress(ValueError, RecursionError), open(path) as handle:
                 data = _parse_problem(_Window(handle.read))
-        except (ValueError, RecursionError):
-            if not os.path.isfile(path):  # a pipe cannot be read again
-                raise
+        if data is None:
             with open(path) as handle:
-                data = _parse_problem(_Window(None, handle.read()))
+                data = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -335,9 +317,10 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _json_scalar(value) -> str | None:
-    """The JSON text of a string, number, bool or None; None for any
-    other value."""
+def _json_text(value, level: int) -> str:
+    """The text of ``json.dumps(value, indent=2)`` nested ``level`` deep,
+    with an ndarray written as its nested list.  A list of finite floats
+    is one join, which is most of the text of a large problem."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -350,70 +333,45 @@ def _json_scalar(value) -> str | None:
         return int.__repr__(value)
     if isinstance(value, float):
         return _json_float(value)
-    return None
-
-
-def _flat_text(value, level: int) -> str | None:
-    """The text of a scalar, or of a non-empty dict whose values are all
-    scalars, at nesting ``level``; None for any other value."""
-    text = _json_scalar(value)
-    if text is None and isinstance(value, dict) and value:
-        texts = [_json_scalar(item) for item in value.values()]
-        if None not in texts:
-            inner = "\n" + "  " * (level + 1)
-            text = "{" + ",".join(inner + _json_key(key) + ": " + item
-                                  for key, item in zip(value, texts)) + "\n" + "  " * level + "}"
-    return text
-
-
-def _json_chunks(value, level: int):
-    """The text of ``json.dump(value, indent=2)``, in pieces.
-
-    An ndarray is written as its nested list, row by row.  A dict whose
-    values are all scalars is one join, and so is a list of finite floats
-    and a list whose items are all scalars or such dicts (an SGE trace,
-    the rows of a compare report); no other value is special.
-    """
     if isinstance(value, np.ndarray):
-        value = list(value) if value.ndim > 1 else value.tolist()
-    text = _flat_text(value, level)
-    if text is not None:
-        yield text
-        return
-    if not isinstance(value, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        yield "{}" if isinstance(value, dict) else "[]"
-        return
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
+        return _json_text(value.tolist(), level)
     if isinstance(value, dict):
-        yield "{"
-        for i, (key, item) in enumerate(value.items()):
-            yield ("," if i else "") + inner + _json_key(key) + ": "
-            yield from _json_chunks(item, level + 1)
-        yield close + "}"
-    elif set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-        yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + close + "]"
+        items = [_json_key(key) + ": " + _json_text(item, level + 1)
+                 for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            items = list(map(float.__repr__, value))
+        else:
+            items = [_json_text(item, level + 1) for item in value]
+        brackets = "[]"
     else:
-        texts = [_flat_text(item, level + 1) for item in value]
-        if None not in texts:
-            yield "[" + inner + ("," + inner).join(texts) + close + "]"
-            return
-        for i, (item, text) in enumerate(zip(value, texts)):
-            yield ("," if i else "[") + inner
-            if text is None:
-                yield from _json_chunks(item, level + 1)
-            else:
-                yield text
-        yield close + "]"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
-def _write_json(data: dict, out: str | None) -> None:
-    """Write ``data`` as ``json.dump(data, indent=2)`` would, plus a newline."""
+def _write_json(data, out: str | None) -> None:
+    """Write ``data`` as ``json.dump(data, indent=2)`` would, plus a newline.
+
+    A matrix at the top level of a dict (the ``A`` of a problem file) is
+    written one row per ``write``, so its whole text is never held; every
+    other value is written as one string."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
-        handle.writelines(_json_chunks(data, 0))
-        handle.write("\n")
+        if not isinstance(data, dict) or not data:
+            handle.write(_json_text(data, 0) + "\n")
+            return
+        for i, (key, value) in enumerate(data.items()):
+            handle.write(("," if i else "{") + "\n  " + _json_key(key) + ": ")
+            if isinstance(value, np.ndarray) and value.ndim == 2 and len(value):
+                for j, row in enumerate(value):
+                    handle.write(("," if j else "[") + "\n    " + _json_text(row, 2))
+                handle.write("\n  ]")
+            else:
+                handle.write(_json_text(value, 1))
+        handle.write("\n}\n")
 
 
 def _parse_start(text: str, n: int):

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -701,8 +703,8 @@ EDGE_TEXTS = [
     '\ufeff{"n": 1, "A": [[0.5]], "b": [1]}',
     '[{"n": 1, "A": [[0.5]], "b": [1]}]',
     '',
-    # Rows orjson rejects, which the json scanner must read instead: alone
-    # they fail, and under a later "A" the file is valid.
+    # Rows orjson rejects, which send the file to json.load: alone they
+    # fail, and under a later "A" the file is valid.
     '{"n": 2, "A": [[0.5, NaN], [0, 0]], "b": [1, 2]}',
     '{"n": 2, "A": [[0.5, -Infinity], [Infinity, 0]], "b": [1, 2]}',
     '{"n": 2, "A": [[0.5, 1e400], [0, 0]], "b": [1, 2]}',
@@ -821,6 +823,82 @@ def test_loader_names_the_path_where_json_load_raised(tmp_path, content):
         cli.load_problem(str(path))
 
 
+def reaches_json_load(path):
+    """Whether ``cli.load_problem(path)``, which must load as
+    ``reference_load`` does, reads the file with ``json.load``."""
+    assert_loads_as_reference(path)
+    calls = []
+    real_load = json.load
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.json, "load", lambda handle: calls.append(1) or real_load(handle))
+        try:
+            cli.load_problem(path)
+        except cli.CliError:
+            pass
+    return bool(calls)
+
+
+@pytest.mark.parametrize("cls, n", [
+    (cls, n) for cls in ("norm-lt-half", "irreducible-half", "sdd-two-thirds", "tridiag")
+    for n in (40, 150)] + [("sdd-two-thirds", 1000)])
+def test_generated_files_never_reach_json_load(tmp_path, cls, n):
+    # json.load would build the nested list of A that the row reader avoids.
+    path = tmp_path / "p.json"
+    assert run("generate", "--class", cls, "--n", str(n), "--seed", "21", "--out", str(path)) == 0
+    assert not reaches_json_load(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "A": [["1.5", 0], [0, 1]], "b": [1, 2]}',
+    '{"n": 2, "A": [null, [0, 1]], "b": [1, 2]}',
+    '[{"n": 1, "A": [[0.5]], "b": [1]}]',
+    '{"n": 1, "A": [[0.5]] "b": [1]}',
+])
+def test_other_texts_reach_json_load(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert reaches_json_load(str(path))
+
+
+def feed_pipe(path, text):
+    """Make a named pipe at ``path`` and a started thread that writes
+    ``text`` into it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,))
+    writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_loader_reads_a_pipe_as_json_load(tmp_path):
+    problem, z = pr.random_instance("irreducible_half", 40, 3)
+    file = tmp_path / "p.json"
+    cli._write_json(cli.problem_to_dict(problem, z, {"class": "irreducible-half"}), str(file))
+    a, b, known, metadata = reference_load(str(file))
+    writer = feed_pipe(tmp_path / "pipe", file.read_text())
+    got, got_known, got_metadata = cli.load_problem(str(tmp_path / "pipe"))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    for got_value, want in ((got.a, a), (got.b, b), (got_known, known)):
+        assert got_value.dtype == want.dtype and got_value.tobytes() == want.tobytes()
+    assert got_metadata == metadata
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_pipe_error_names_the_position_in_the_text(tmp_path, monkeypatch):
+    # The missing comma lies many window reads into the text.
+    monkeypatch.setattr(cli, "_CHUNK", 16)
+    rows = ", ".join(["[0.5, 0.25]"] * 200)
+    text = f'{{"n": 2, "b": [1, 2], "A": [{rows} [0.5, 0.25]]}}'
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    writer = feed_pipe(tmp_path / "pipe", text)
+    with pytest.raises(cli.CliError, match=re.escape(str(want.value))):
+        cli.load_problem(str(tmp_path / "pipe"))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, float("nan"),
                                   float("inf"), float("-inf"), 1e300])
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | SPECIAL_FLOATS
@@ -857,8 +935,8 @@ def test_write_json_writes_arrays_as_their_lists(tmp_path_factory, arr):
 
 
 def test_write_json_is_json_dump_text_on_reports(tmp_path_factory):
-    # An n = 1000 SGE report writes its trace as n flat dicts, and a
-    # compare report its rows as flat dicts: each is one join.
+    # An n = 1000 SGE report holds its trace as n flat dicts, and a
+    # compare report its rows as flat dicts.
     g = np.random.default_rng(17)
     problem = pr.AveProblem(np.diag(g.uniform(-0.4, 0.4, 1000)), g.uniform(-1.0, 1.0, 1000))
     report = cli._report_dict(cli.sge.sge_solve(problem), 1.5)
@@ -866,3 +944,23 @@ def test_write_json_is_json_dump_text_on_reports(tmp_path_factory):
     rows = [cli._compare_one(*case) for case in cli._demo_suite() + cli._random_suite()[:4]]
     for data in (report, {"instances": rows, "summary": {"both": 1}, "skipped": []}):
         assert written_text(tmp_path_factory, data) == json.dumps(data, indent=2) + "\n"
+
+
+def test_write_json_streams_a_top_level_matrix(monkeypatch):
+    # generate never holds the whole text of A: each write is at most
+    # about one row's text, and the bytes are json.dump's.
+    g = np.random.default_rng(32)
+    a, b = g.uniform(-1.0, 1.0, (300, 300)), g.uniform(-1.0, 1.0, 300)
+    lists = {"n": 300, "A": a.tolist(), "b": b.tolist()}
+    row_text = len(json.dumps(lists["A"][0], indent=2))
+    for data, want, longest in (({"n": 300, "A": a, "b": b}, lists, 2 * row_text),
+                                ({"problem": {"n": 300, "A": a, "b": b}}, {"problem": lists},
+                                 None)):
+        writes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append,
+                                                            writelines=writes.extend))
+            cli._write_json(data, None)
+        assert "".join(writes) == json.dumps(want, indent=2) + "\n"
+        if longest is not None:
+            assert max(map(len, writes)) <= longest
