@@ -12,8 +12,11 @@ or a pipe is ``json.load``'s.  Reports are JSON too, with the residual
 always recomputed from the raw inputs.  ``_write_json`` is the one
 writer: it writes the bytes of ``json.dump(data, indent=2)`` to
 ``--out`` or stdout, ndarrays as their nested lists, each value as one
-string except a top-level matrix, which goes one row at a time.  The
-argument parser is built once, at import.
+string except a top-level matrix, which goes one row at a time.  A
+non-empty run of finite floats takes its text from ``orjson``, and from
+``float.__repr__`` only for the values orjson lays out differently,
+0 < |x| < 1e-4 and |x| >= 1e16 (``_float_items``).  The argument parser
+is built once, at import.
 
 The commands raise; ``main`` is the one error boundary and turns any
 ``CliError``, ``AvekitError``, ``ValueError`` or ``OSError`` (an
@@ -317,10 +320,32 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
+def _float_items(x: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each value of ``x``, a non-empty 1-D
+    C-contiguous float64 array of finite values.
+
+    ``orjson`` writes the same shortest round-trip digits as
+    ``float.__repr__``, and lays them out the same way for 0 and for
+    1e-4 <= |x| < 1e16.  Outside that range it writes ``1e-6``,
+    ``0.00001`` or ``1e16`` where repr writes ``1e-06``, ``1e-05`` or
+    ``1e+16``; every such text holds an ``e`` or a ``0.0000``, and only
+    then are those values given repr's text."""
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    items = text[1:-1].split(",")
+    if "e" in text or "0.0000" in text:
+        a = np.abs(x)
+        redo = np.flatnonzero(((0 < a) & (a < 1e-4)) | (a >= 1e16))
+        for i, v in zip(redo.tolist(), x[redo].tolist()):
+            items[i] = float.__repr__(v)
+    return items
+
+
 def _json_text(value, level: int) -> str:
     """The text of ``json.dumps(value, indent=2)`` nested ``level`` deep,
-    with an ndarray written as its nested list.  A list of finite floats
-    is one join, which is most of the text of a large problem."""
+    with an ndarray written as its nested list.  A 1-D float64 array that
+    orjson can read (native byte order, C-contiguous, not a subclass) and
+    a list of floats are one join of ``_float_items`` when non-empty and
+    finite; that is most of the text of a large problem."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -334,14 +359,19 @@ def _json_text(value, level: int) -> str:
     if isinstance(value, float):
         return _json_float(value)
     if isinstance(value, np.ndarray):
-        return _json_text(value.tolist(), level)
-    if isinstance(value, dict):
+        if (type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64
+                and value.flags.c_contiguous and len(value) and np.isfinite(value).all()):
+            items = _float_items(value)
+            brackets = "[]"
+        else:
+            return _json_text(value.tolist(), level)
+    elif isinstance(value, dict):
         items = [_json_key(key) + ": " + _json_text(item, level + 1)
                  for key, item in value.items()]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            items = list(map(float.__repr__, value))
+            items = _float_items(np.array(value))
         else:
             items = [_json_text(item, level + 1) for item in value]
         brackets = "[]"

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import hashlib
 import json
 import math
@@ -964,3 +965,78 @@ def test_write_json_streams_a_top_level_matrix(monkeypatch):
         assert "".join(writes) == json.dumps(want, indent=2) + "\n"
         if longest is not None:
             assert max(map(len, writes)) <= longest
+
+
+def float_sweep():
+    """200 K finite doubles of random sign and mantissa over every binary
+    exponent, then each place where orjson's layout of a double changes
+    or ends, as its own case: +-3 ulps around 1e-5, 1e-4, 1e16 and 2^53,
+    the largest doubles, the smallest subnormals and +-0.0."""
+    g = np.random.default_rng(11)
+    count = 200_000
+    exponent = np.arange(count, dtype=np.uint64) % np.uint64(2047)
+    bits = ((g.integers(0, 2, count, dtype=np.uint64) << np.uint64(63))
+            | (exponent << np.uint64(52))
+            | g.integers(0, 1 << 52, count, dtype=np.uint64))
+    cases = [bits.view(np.float64)]
+    for center in (1e-5, 1e-4, 1e16, 2.0 ** 53):
+        near = (np.array([center]).view(np.int64) + np.arange(-3, 4)).view(np.float64)
+        cases.append(np.concatenate([near, -near]))
+    for ends in (np.arange(1, 5), np.array([np.finfo(float).max]).view(np.int64) - np.arange(4)):
+        near = ends.view(np.float64)
+        cases.append(np.concatenate([near, -near]))
+    cases.append(np.array([0.0, -0.0]))
+    return cases
+
+
+SWEEP_FORMS = {
+    "list": lambda values: values.tolist(),
+    "array": lambda values: values,
+    "c_matrix": lambda values: {"A": values.reshape(2, -1)},
+    "f_matrix": lambda values: {"A": np.asfortranarray(values.reshape(2, -1))},
+}
+
+
+@functools.lru_cache(maxsize=2)
+def sweep_want(matrix: bool) -> list[str]:
+    """``json.dumps(..., indent=2)`` of each case of ``float_sweep``, as a
+    flat list or as a two-row matrix under "A"."""
+    return [json.dumps({"A": values.reshape(2, -1).tolist()} if matrix else values.tolist(),
+                       indent=2) + "\n"
+            for values in float_sweep()]
+
+
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else their first differing lines:
+    a failure message pytest can print without diffing megabytes."""
+    if got == want:
+        return None
+    got, want = got.splitlines(), want.splitlines()
+    i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+             min(len(got), len(want)))
+    return i, got[i:i + 1], want[i:i + 1]
+
+
+@pytest.mark.parametrize("form", SWEEP_FORMS)
+def test_float_text_is_json_dump_text_on_a_sweep_of_doubles(tmp_path_factory, form):
+    # The matrices' rows are ones orjson reads (C order) and ones it
+    # cannot (F order).
+    for values, want in zip(float_sweep(), sweep_want(form.endswith("matrix"))):
+        assert np.isfinite(values).all()
+        got = written_text(tmp_path_factory, SWEEP_FORMS[form](values))
+        assert first_difference(got, want) is None
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([0.1, 1e-6, 2.5e-5, 1e16, -3.0]).astype(">f8"),
+    np.array([0.1, 1e-6, 2.5e-5, 1e16, -3.0], dtype=np.float32),
+    np.array([0.1, 1e-6, 2.5e-5, 1e16, -3.0, 7.0])[::2],
+    np.frombuffer(b"\0" + np.array([0.1, 1e-6, 2.5e-5, 1e16]).tobytes(), dtype=float, offset=1),
+    np.array([0.1, 1e-6, 2.5e-5, 1e16]).view(np.recarray),
+    np.array(1e-6),
+])
+def test_write_json_writes_other_float_arrays_as_their_lists(tmp_path_factory, arr):
+    # Byte-swapped, float32, strided, unaligned, subclassed and 0-d arrays.
+    listed = arr.tolist()
+    for data, want in ((arr, listed), ({"b": arr}, {"b": listed}), ([arr], [listed])):
+        assert written_text(tmp_path_factory, data) == json.dumps(want, indent=2) + "\n"

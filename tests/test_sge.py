@@ -7,6 +7,7 @@ from avekit import oracle
 from avekit.errors import PivotBreakdown
 from avekit import linalg
 from avekit.linalg import elimination_step, infinity_norm, pivot_threshold
+from avekit.newton import newton_solve
 from avekit.report import Status
 from avekit.sge import _pin, _round_picks, sge_solve
 
@@ -108,6 +109,35 @@ class TestSgeSolve:
         mismatch = np.abs(report.z - z_true).max() > 1e-8 * (1 + np.abs(z_true).max())
         assert report.residual > 1e-6 or mismatch
         assert not report.guaranteed
+
+    # random_instance("tridiag_abs_sym", 3, 29) and (4, 989), each with A
+    # rescaled to ||A||_inf = 0.9 and b from from_solution: |A| is
+    # tridiagonal-symmetric with norm below 1 (cond4), the oracle finds one
+    # solution, and SGE's first pick takes the sign of the largest |b_i|,
+    # which is not the sign of z*_i.
+    COND4_COUNTEREXAMPLES = [
+        ([[-0.37018246343079214, 0.5298175365692079, 0.0],
+          [0.5298175365692079, 0.04513797565485734, 0.1804619751687533],
+          [0.0, -0.1804619751687533, 0.5968271297834646]],
+         [-0.39075923456586875, -0.4087475986523982, 0.2502794140840359]),
+        ([[-0.39085021220773036, 0.48321571973639077, 0.0, 0.0],
+          [-0.48321571973639077, 0.07758639495319443, -0.339197885310415, 0.0],
+          [0.0, -0.339197885310415, -0.19795460738919407, -0.12484704123652861],
+          [0.0, 0.0, -0.12484704123652861, -0.1858734405897627]],
+         [-0.6511015166254959, 0.6917258603765196, -0.6618262086070152, 0.33049235961627454]),
+    ]
+
+    @pytest.mark.parametrize("a, b", COND4_COUNTEREXAMPLES)
+    def test_cond4_counterexamples_go_astray(self, a, b):
+        # SGE answers wrongly (residuals 0.065 and 0.163); Newton finds z*.
+        problem = pr.AveProblem(np.array(a), np.array(b))
+        z_ref = oracle.unique_solution(problem)
+        report = sge_solve(problem)
+        assert report.residual > 1e-3
+        assert np.abs(report.z - z_ref).max() > 1e-3
+        newton = newton_solve(problem)
+        assert newton.status == Status.CONVERGED
+        assert np.abs(newton.z - z_ref).max() <= 1e-8 * np.abs(z_ref).max()
 
     def test_inflated_identity_picks_wrong_orthant(self):
         problem = pr.AveProblem(pr.inflated_identity(0.01, 2), -np.ones(2))
