@@ -10,13 +10,10 @@ the layout ``generate`` writes is read in pieces, with each row of ``A``
 read by ``orjson`` into a float array; every other file, an invalid one
 or a pipe is ``json.load``'s.  Reports are JSON too, with the residual
 always recomputed from the raw inputs.  ``_write_json`` is the one
-writer: it writes the bytes of ``json.dump(data, indent=2)`` to
-``--out`` or stdout, ndarrays as their nested lists, each value as one
-string except a top-level matrix, which goes one row at a time.  A
-non-empty run of finite floats takes its text from ``orjson``, and from
-``float.__repr__`` only for the values orjson lays out differently,
-0 < |x| < 1e-4 and |x| >= 1e16 (``_float_items``).  The argument parser
-is built once, at import.
+writer: one ``orjson.dumps`` call, indented by two spaces, whose bytes go
+to ``--out`` or, decoded, to stdout.  Every finite float is written as
+its shortest round-trip digits and reads back bitwise; a non-finite one
+is written as ``null``.  The argument parser is built once, at import.
 
 The commands raise; ``main`` is the one error boundary and turns any
 ``CliError``, ``AvekitError``, ``ValueError`` or ``OSError`` (an
@@ -36,7 +33,6 @@ import struct
 import sys
 import time
 from json.decoder import WHITESPACE, JSONDecodeError, JSONDecoder, scanstring
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -236,9 +232,10 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
     characters at a time by ``_parse_problem``, which turns each row of
     ``A`` into a float array as soon as it is read, so neither the file's
     whole text nor a nested list of Python floats is held for a file that
-    ``generate`` wrote.  Every other file, an invalid one or one that is
-    not regular (a pipe) is read by ``json.load``, whose errors, file
-    positions included, are the ones reported.  Any unreadable, invalid
+    ``generate`` wrote, whose shortest round-trip digits read back
+    bitwise.  Every other file, an invalid one or one that is not regular
+    (a pipe) is read by ``json.load``, whose errors, file positions
+    included, are the ones reported.  Any unreadable, invalid
     or inconsistent file raises ``CliError`` naming the path and the
     field, and so does an ``A`` whose ||A||_inf overflows, on which every
     command would print non-finite numbers.
@@ -285,7 +282,7 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
 
 
 def problem_to_dict(problem: AveProblem, known=None, metadata=None) -> dict:
-    """The problem file's fields; ``_write_json`` writes the arrays."""
+    """The problem file's fields; ``_write_json`` writes its float arrays."""
     out = {
         "n": problem.n,
         "A": problem.a,
@@ -298,110 +295,23 @@ def problem_to_dict(problem: AveProblem, known=None, metadata=None) -> dict:
     return out
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, float):
-        key = _json_float(key)
-    elif key is True or key is False or key is None:
-        key = {True: "true", False: "false", None: "null"}[key]
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
-def _float_items(x: np.ndarray) -> list[str]:
-    """``float.__repr__`` of each value of ``x``, a non-empty 1-D
-    C-contiguous float64 array of finite values.
-
-    ``orjson`` writes the same shortest round-trip digits as
-    ``float.__repr__``, and lays them out the same way for 0 and for
-    1e-4 <= |x| < 1e16.  Outside that range it writes ``1e-6``,
-    ``0.00001`` or ``1e16`` where repr writes ``1e-06``, ``1e-05`` or
-    ``1e+16``; every such text holds an ``e`` or a ``0.0000``, and only
-    then are those values given repr's text."""
-    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    items = text[1:-1].split(",")
-    if "e" in text or "0.0000" in text:
-        a = np.abs(x)
-        redo = np.flatnonzero(((0 < a) & (a < 1e-4)) | (a >= 1e16))
-        for i, v in zip(redo.tolist(), x[redo].tolist()):
-            items[i] = float.__repr__(v)
-    return items
-
-
-def _json_text(value, level: int) -> str:
-    """The text of ``json.dumps(value, indent=2)`` nested ``level`` deep,
-    with an ndarray written as its nested list.  A 1-D float64 array that
-    orjson can read (native byte order, C-contiguous, not a subclass) and
-    a list of floats are one join of ``_float_items`` when non-empty and
-    finite; that is most of the text of a large problem."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, np.ndarray):
-        if (type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64
-                and value.flags.c_contiguous and len(value) and np.isfinite(value).all()):
-            items = _float_items(value)
-            brackets = "[]"
-        else:
-            return _json_text(value.tolist(), level)
-    elif isinstance(value, dict):
-        items = [_json_key(key) + ": " + _json_text(item, level + 1)
-                 for key, item in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            items = _float_items(np.array(value))
-        else:
-            items = [_json_text(item, level + 1) for item in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
-
-
 def _write_json(data, out: str | None) -> None:
-    """Write ``data`` as ``json.dump(data, indent=2)`` would, plus a newline.
+    """Write ``data`` as JSON indented by two spaces, plus a newline, to
+    ``out`` or stdout: the bytes of one ``orjson.dumps`` call.
 
-    A matrix at the top level of a dict (the ``A`` of a problem file) is
-    written one row per ``write``, so its whole text is never held; every
-    other value is written as one string."""
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
-        if not isinstance(data, dict) or not data:
-            handle.write(_json_text(data, 0) + "\n")
-            return
-        for i, (key, value) in enumerate(data.items()):
-            handle.write(("," if i else "{") + "\n  " + _json_key(key) + ": ")
-            if isinstance(value, np.ndarray) and value.ndim == 2 and len(value):
-                for j, row in enumerate(value):
-                    handle.write(("," if j else "[") + "\n    " + _json_text(row, 2))
-                handle.write("\n  ]")
-            else:
-                handle.write(_json_text(value, 1))
-        handle.write("\n}\n")
+    The text is strict JSON: a non-finite float is written as ``null``,
+    and each finite one as its shortest round-trip digits, so it reads
+    back bitwise.  Strings are UTF-8, keys must be str and integers must
+    fit in 64 bits.  An ndarray is written as its nested list; orjson
+    reads only native-order C-contiguous arrays right, which every array
+    here is (``AveProblem``'s and ``np.asarray(..., dtype=float)``'s)."""
+    text = orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+                        | orjson.OPT_APPEND_NEWLINE)
+    if out:
+        with open(out, "wb") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text.decode())
 
 
 def _parse_start(text: str, n: int):
@@ -512,6 +422,13 @@ def cmd_generate(args) -> int:
     name = args.cls
     if name not in VALID_CLASSES:
         raise CliError(f"invalid class {name!r}; valid classes: {', '.join(VALID_CLASSES)}")
+    # The file holds the seed as a 64-bit integer and the floats as numbers.
+    if not -(1 << 63) <= args.seed < 1 << 64:
+        raise CliError(f"--seed {args.seed} is outside [-2^63, 2^64)")
+    for option in ("eps", "a", "nu"):
+        value = getattr(args, option)
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"--{option} must be finite, got {value}")
     if name == "sge-trap":
         problem, known = problems.sge_trap_instance(args.eps)
         meta = {"class": name, "eps": args.eps}

@@ -1,6 +1,7 @@
 import decimal
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,9 +9,9 @@ import re
 import subprocess
 import sys
 import threading
-import types
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,8 +69,9 @@ class TestGenerate:
             "2c2d175c9872b22b4f9d9990e4c2da3785865416c28e027cb7de75fd0816ce76"
         )
 
-    # sha256 of the generate output at n = 40, seed 5, taken before the
-    # array draws and the row writer replaced the scalar loops and json.dump.
+    # sha256 of json.dumps(json.load(file), indent=2) + "\n" for the
+    # generate output at n = 40, seed 5, pinned from the json.dump output
+    # of the scalar-loop generator: an equal digest means the same doubles.
     @pytest.mark.parametrize("args, rhs, digest", [
         (("norm-lt-half",), "from-random-z",
          "6b1901a40ccde45c27550e78e6222e628097388c33d32cad8aabd9ecf906e2a4"),
@@ -100,7 +102,8 @@ class TestGenerate:
         path = tmp_path / "p.json"
         assert run("generate", "--class", *args, "--n", "40", "--seed", "5", "--rhs", rhs,
                    "--out", str(path)) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        text = json.dumps(read_json(str(path)), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_trap_instance_payload(self, trap_file):
         data = read_json(trap_file)
@@ -108,6 +111,33 @@ class TestGenerate:
         assert data["A"] == [[0.005, 0.505], [0.0, 0.5]]
         assert data["b"] == [-0.500025, 0.5]
         assert data["known_solution"] == [0.005, 1.0]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", str(2 ** 64)),
+        ("--seed", str(-(2 ** 63) - 1)),
+        ("--seed", "1180591620717411303424"),
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+        ("--a", "-inf"),
+        ("--nu", "nan"),
+    ])
+    def test_invalid_numeric_option_is_one_error_line(self, tmp_path, capsys, option, value):
+        # A seed past 64 bits once was reduced mod 2^64 (and could not be
+        # written as a JSON integer), and --nu nan wrote "nu": NaN.
+        path = tmp_path / "x.json"
+        assert run("generate", "--class", "unconstrained", "--nu", "1.5", f"{option}={value}",
+                   "--out", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert option in captured.err
+
+    @pytest.mark.parametrize("seed", [2 ** 64 - 1, -(2 ** 63)])
+    def test_seed_range_ends_are_written(self, tmp_path, seed):
+        path = tmp_path / "p.json"
+        assert run("generate", "--class", "norm-lt-half", "--seed", str(seed),
+                   "--out", str(path)) == 0
+        assert read_json(str(path))["metadata"]["seed"] == seed
 
     def test_invalid_class_lists_valid_ones(self, tmp_path, capsys):
         assert run("generate", "--class", "bogus", "--out", str(tmp_path / "x.json")) == 1
@@ -210,10 +240,9 @@ class TestSolve:
         ("known_solution", [float("nan")]),
     ])
     def test_loader_rejects_field(self, tmp_path, capsys, field, value):
-        data = cli.problem_to_dict(pr.AveProblem(np.zeros((1, 1)), np.ones(1)))
-        data[field] = value
+        data = {"n": 1, "A": [[0.0]], "b": [1.0], field: value}
         path = tmp_path / "bad.json"
-        cli._write_json(data, str(path))
+        path.write_text(json.dumps(data, indent=2))
         assert run("solve", str(path)) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
@@ -578,10 +607,11 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(field=st.sampled_from(["n", "A", "b", "known_solution", "metadata"]), value=JSON_VALUES)
 def test_loader_returns_or_raises_cli_error(tmp_path_factory, field, value):
-    data = cli.problem_to_dict(pr.AveProblem(np.zeros((2, 2)), np.ones(2)))
-    data[field] = value
+    # json.dump writes NaN, Infinity and integers past 64 bits, which the
+    # writer does not.
+    data = {"n": 2, "A": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0], field: value}
     path = tmp_path_factory.mktemp("fuzz") / "p.json"
-    cli._write_json(data, str(path))
+    path.write_text(json.dumps(data, indent=2))
     try:
         cli.load_problem(str(path))
     except cli.CliError:
@@ -900,16 +930,16 @@ def test_pipe_error_names_the_position_in_the_text(tmp_path, monkeypatch):
     assert not writer.is_alive()
 
 
-SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, float("nan"),
-                                  float("inf"), float("-inf"), 1e300])
-JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | SPECIAL_FLOATS
+SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e-6, 1e-5, 1e16, 1e300])
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | SPECIAL_FLOATS
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-(2 ** 63), 2 ** 64 - 1) | FINITE_FLOATS
                | st.text(max_size=6))
-JSON_KEYS = st.text(max_size=4) | st.integers() | st.floats() | st.booleans() | st.none()
 JSON_DATA = st.recursive(
     JSON_LEAVES,
     lambda children: st.lists(children, max_size=5)
-    | st.lists(st.floats() | SPECIAL_FLOATS, max_size=6)
-    | st.dictionaries(JSON_KEYS, children, max_size=4),
+    | st.lists(FINITE_FLOATS, max_size=6)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
     max_leaves=30,
 )
 
@@ -917,22 +947,37 @@ JSON_DATA = st.recursive(
 def written_text(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("write") / "out.json"
     cli._write_json(data, str(path))
-    return path.read_bytes().decode("ascii")
+    return path.read_bytes().decode("utf-8")
+
+
+def redumped(text):
+    """``json.dumps(..., indent=2)`` of the value ``text`` holds, which is
+    ``json.dumps``'s text of the written value exactly when every float
+    read back bitwise, -0.0 included."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=JSON_DATA)
 def test_write_json_is_json_dump_text(tmp_path_factory, data):
-    assert written_text(tmp_path_factory, data) == json.dumps(data, indent=2) + "\n"
+    # Read back, the text is the value written: str keys, 64-bit integers,
+    # any text and every finite double.
+    got = written_text(tmp_path_factory, data)
+    assert json.loads(got) == data
+    assert redumped(got) == json.dumps(data, indent=2) + "\n"
+
+
+def as_read_back(arr):
+    """``arr.tolist()`` with each non-finite value as None."""
+    return np.where(np.isfinite(arr), arr, None).tolist()
 
 
 @settings(max_examples=100, deadline=None)
 @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
-                      elements=st.floats() | SPECIAL_FLOATS))
+                      elements=st.floats() | SPECIAL_FLOATS | NON_FINITE))
 def test_write_json_writes_arrays_as_their_lists(tmp_path_factory, arr):
-    data = {"A": arr, "n": 1}
-    assert written_text(tmp_path_factory, data) == json.dumps(
-        {"A": arr.tolist(), "n": 1}, indent=2) + "\n"
+    got = written_text(tmp_path_factory, {"A": arr, "n": 1})
+    assert redumped(got) == json.dumps({"A": as_read_back(arr), "n": 1}, indent=2) + "\n"
 
 
 def test_write_json_is_json_dump_text_on_reports(tmp_path_factory):
@@ -944,27 +989,35 @@ def test_write_json_is_json_dump_text_on_reports(tmp_path_factory):
     assert len(report["trace"]) == 999
     rows = [cli._compare_one(*case) for case in cli._demo_suite() + cli._random_suite()[:4]]
     for data in (report, {"instances": rows, "summary": {"both": 1}, "skipped": []}):
-        assert written_text(tmp_path_factory, data) == json.dumps(data, indent=2) + "\n"
+        assert redumped(written_text(tmp_path_factory, data)) == json.dumps(data, indent=2) + "\n"
 
 
-def test_write_json_streams_a_top_level_matrix(monkeypatch):
-    # generate never holds the whole text of A: each write is at most
-    # about one row's text, and the bytes are json.dump's.
-    g = np.random.default_rng(32)
-    a, b = g.uniform(-1.0, 1.0, (300, 300)), g.uniform(-1.0, 1.0, 300)
-    lists = {"n": 300, "A": a.tolist(), "b": b.tolist()}
-    row_text = len(json.dumps(lists["A"][0], indent=2))
-    for data, want, longest in (({"n": 300, "A": a, "b": b}, lists, 2 * row_text),
-                                ({"problem": {"n": 300, "A": a, "b": b}}, {"problem": lists},
-                                 None)):
-        writes = []
-        with monkeypatch.context() as patch:
-            patch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append,
-                                                            writelines=writes.extend))
-            cli._write_json(data, None)
-        assert "".join(writes) == json.dumps(want, indent=2) + "\n"
-        if longest is not None:
-            assert max(map(len, writes)) <= longest
+def test_non_finite_floats_are_written_as_null(tmp_path_factory):
+    got = written_text(tmp_path_factory, {"residual": math.inf, "z": [math.nan, -math.inf]})
+    assert orjson.loads(got) == {"residual": None, "z": [None, None]}
+
+
+@pytest.mark.parametrize("argv", [
+    *[("generate", "--class", cls, "--n", "5", "--seed", "3",
+       *(("--nu", "1.5") if cls == "unconstrained" else ()))
+      for cls in cli.VALID_CLASSES],
+    *[("solve", "{problem}", "--method", method) for method in ("sge", "newton", "oracle")],
+    ("analyze", "{problem}"),
+    ("compare", "--suite", "demo"),
+])
+def test_every_output_is_strict_json(tmp_path, capsys, argv):
+    # orjson.loads accepts no NaN, Infinity or other extension of JSON.
+    problem = tmp_path / "p.json"
+    assert run("generate", "--class", "sge-trap", "--out", str(problem)) == 0
+    argv = [arg.format(problem=problem) for arg in argv]
+    assert run(*argv) == 0
+    stdout = capsys.readouterr().out
+    orjson.loads(stdout)
+    out = tmp_path / "out.json"
+    assert run(*argv, "--out", str(out)) == 0
+    orjson.loads(out.read_bytes())
+    if argv[0] == "generate":
+        assert out.read_bytes() == stdout.encode()
 
 
 def float_sweep():
@@ -993,7 +1046,6 @@ SWEEP_FORMS = {
     "list": lambda values: values.tolist(),
     "array": lambda values: values,
     "c_matrix": lambda values: {"A": values.reshape(2, -1)},
-    "f_matrix": lambda values: {"A": np.asfortranarray(values.reshape(2, -1))},
 }
 
 
@@ -1019,24 +1071,14 @@ def first_difference(got: str, want: str):
 
 @pytest.mark.parametrize("form", SWEEP_FORMS)
 def test_float_text_is_json_dump_text_on_a_sweep_of_doubles(tmp_path_factory, form):
-    # The matrices' rows are ones orjson reads (C order) and ones it
-    # cannot (F order).
-    for values, want in zip(float_sweep(), sweep_want(form.endswith("matrix"))):
+    # Every double reads back bitwise through json.loads; the rows of the
+    # matrix do too through the row reader load_problem uses on a regular
+    # file (load_problem itself rejects a 2-row A and the rows whose
+    # absolute sums overflow).
+    for values, want in zip(float_sweep(), sweep_want(form == "c_matrix")):
         assert np.isfinite(values).all()
         got = written_text(tmp_path_factory, SWEEP_FORMS[form](values))
-        assert first_difference(got, want) is None
-
-
-@pytest.mark.parametrize("arr", [
-    np.array([0.1, 1e-6, 2.5e-5, 1e16, -3.0]).astype(">f8"),
-    np.array([0.1, 1e-6, 2.5e-5, 1e16, -3.0], dtype=np.float32),
-    np.array([0.1, 1e-6, 2.5e-5, 1e16, -3.0, 7.0])[::2],
-    np.frombuffer(b"\0" + np.array([0.1, 1e-6, 2.5e-5, 1e16]).tobytes(), dtype=float, offset=1),
-    np.array([0.1, 1e-6, 2.5e-5, 1e16]).view(np.recarray),
-    np.array(1e-6),
-])
-def test_write_json_writes_other_float_arrays_as_their_lists(tmp_path_factory, arr):
-    # Byte-swapped, float32, strided, unaligned, subclassed and 0-d arrays.
-    listed = arr.tolist()
-    for data, want in ((arr, listed), ({"b": arr}, {"b": listed}), ([arr], [listed])):
-        assert written_text(tmp_path_factory, data) == json.dumps(want, indent=2) + "\n"
+        assert first_difference(redumped(got), want) is None
+        if form == "c_matrix":
+            rows = cli._parse_problem(cli._Window(io.StringIO(got).read))["A"]
+            assert np.array(rows).tobytes() == values.tobytes()
