@@ -11,9 +11,10 @@ read by ``orjson`` into a float array; every other file, an invalid one
 or a pipe is ``json.load``'s.  Reports are JSON too, with the residual
 always recomputed from the raw inputs.  ``_write_json`` is the one
 writer: one ``orjson.dumps`` call, indented by two spaces, whose bytes go
-to ``--out`` or, decoded, to stdout.  Every finite float is written as
-its shortest round-trip digits and reads back bitwise; a non-finite one
-is written as ``null``.  The argument parser is built once, at import.
+to ``--out`` or to stdout's buffer (decoded, to a stdout that has none,
+such as a ``StringIO``).  Every finite float is written as its shortest
+round-trip digits and reads back bitwise; a non-finite one is written as
+``null``.  The argument parser is built once, at import.
 
 The commands raise; ``main`` is the one error boundary and turns any
 ``CliError``, ``AvekitError``, ``ValueError`` or ``OSError`` (an
@@ -32,6 +33,7 @@ import os
 import struct
 import sys
 import time
+from functools import partial
 from json.decoder import WHITESPACE, JSONDecodeError, JSONDecoder, scanstring
 
 import numpy as np
@@ -44,17 +46,28 @@ from .newton import newton_solve
 from .problems import AveProblem, residual
 from .report import SolveReport, Status
 
-GENERATOR_ALIASES = {
-    "norm-lt-half": "norm_lt_half",
-    "irreducible-half": "irreducible_half",
-    "sdd-two-thirds": "sdd_two_thirds",
-    "tridiag": "tridiag_abs_sym",
-    "tridiag-abs-sym": "tridiag_abs_sym",
-    "norm-lt-third": "norm_lt_third",
-    "unconstrained": "unconstrained",
+_SEEDED = ("n", "seed", "rhs")
+# Every class ``generate`` writes, in the order ``--help`` lists them: the
+# builder of its (problem, known solution), called with the options the
+# class reads, and those options in the order its metadata writes them.
+# ``generate`` refuses any other option.
+GENERATE_CLASSES = {
+    "norm-lt-half": (partial(problems.random_instance, "norm_lt_half"), _SEEDED),
+    "irreducible-half": (partial(problems.random_instance, "irreducible_half"), _SEEDED),
+    "sdd-two-thirds": (partial(problems.random_instance, "sdd_two_thirds"), _SEEDED),
+    "tridiag": (partial(problems.random_instance, "tridiag_abs_sym"), _SEEDED),
+    "tridiag-abs-sym": (partial(problems.random_instance, "tridiag_abs_sym"), _SEEDED),
+    "norm-lt-third": (partial(problems.random_instance, "norm_lt_third"), _SEEDED),
+    "unconstrained": (partial(problems.random_instance, "unconstrained"), _SEEDED + ("nu",)),
+    "sge-trap": (problems.sge_trap_instance, ("eps",)),
+    "newton-cycle": (lambda a: (problems.newton_cycle_instance(a), None), ("a",)),
+    "inflated-identity": (lambda eps, n: (AveProblem(problems.inflated_identity(eps, n),
+                                                     -np.ones(n)), None), ("eps", "n")),
 }
-SPECIAL_CLASSES = ("sge-trap", "newton-cycle", "inflated-identity")
-VALID_CLASSES = tuple(GENERATOR_ALIASES) + SPECIAL_CLASSES
+GENERATE_DEFAULTS = {"n": 4, "seed": 0, "rhs": "from-random-z", "eps": 0.01, "a": 0.625, "nu": None}
+
+# solve's default Newton budget, and compare's above the enumeration cap.
+NEWTON_MAX_ITER = 100
 
 MATCH_TOL = 1e-8
 
@@ -310,6 +323,10 @@ def _write_json(data, out: str | None) -> None:
     if out:
         with open(out, "wb") as handle:
             handle.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        # UTF-8 whatever the stream's encoding, which may not encode a name.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text)
     else:
         sys.stdout.write(text.decode())
 
@@ -420,33 +437,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     name = args.cls
-    if name not in VALID_CLASSES:
-        raise CliError(f"invalid class {name!r}; valid classes: {', '.join(VALID_CLASSES)}")
+    if name not in GENERATE_CLASSES:
+        raise CliError(f"invalid class {name!r}; valid classes: {', '.join(GENERATE_CLASSES)}")
+    build, reads = GENERATE_CLASSES[name]
+    given = {o: v for o in GENERATE_DEFAULTS if (v := getattr(args, o)) is not None}
+    unread = [f"--{o}" for o in given if o not in reads]
+    if unread:
+        raise CliError(f"class {name!r} does not read {', '.join(unread)}")
+    options = {o: given.get(o, GENERATE_DEFAULTS[o]) for o in reads}
     # The file holds the seed as a 64-bit integer and the floats as numbers.
-    if not -(1 << 63) <= args.seed < 1 << 64:
-        raise CliError(f"--seed {args.seed} is outside [-2^63, 2^64)")
+    if not -(1 << 63) <= options.get("seed", 0) < 1 << 64:
+        raise CliError(f"--seed {options['seed']} is outside [-2^63, 2^64)")
     for option in ("eps", "a", "nu"):
-        value = getattr(args, option)
-        if value is not None and not math.isfinite(value):
-            raise CliError(f"--{option} must be finite, got {value}")
-    if name == "sge-trap":
-        problem, known = problems.sge_trap_instance(args.eps)
-        meta = {"class": name, "eps": args.eps}
-    elif name == "newton-cycle":
-        problem = problems.newton_cycle_instance(args.a)
-        known, meta = None, {"class": name, "a": args.a}
-    elif name == "inflated-identity":
-        mat = problems.inflated_identity(args.eps, args.n)
-        problem = AveProblem(mat, -np.ones(args.n))
-        known, meta = None, {"class": name, "eps": args.eps, "n": args.n}
-    else:
-        problem, known = problems.random_instance(
-            GENERATOR_ALIASES[name], args.n, args.seed, rhs=args.rhs, nu=args.nu
-        )
-        meta = {"class": name, "n": args.n, "seed": args.seed, "rhs": args.rhs}
-        if args.nu is not None:
-            meta["nu"] = args.nu
-    _write_json(problem_to_dict(problem, known, meta), args.out)
+        if options.get(option) is not None and not math.isfinite(options[option]):
+            raise CliError(f"--{option} must be finite, got {options[option]}")
+    problem, known = build(**options)
+    _write_json(problem_to_dict(problem, known, {"class": name, **options}), args.out)
     return 0
 
 
@@ -467,7 +473,11 @@ def _compare_one(name: str, problem: AveProblem, newton_start) -> dict:
     rep = sge.sge_solve(problem)
     row["sge_status"] = rep.status.value
     row["sge_ok"] = matches(rep.z)
-    rep = newton_solve(problem, start=newton_start, max_iter=2 ** problem.n + 1)
+    # Up to the enumeration cap, 2^n + 1 steps force the walk to converge
+    # or revisit a signature; above it, 2^n is no bound.
+    budget = 2 ** problem.n + 1 if problem.n <= analysis.MAX_ENUM_DIM else NEWTON_MAX_ITER
+    row["newton_budget"] = budget
+    rep = newton_solve(problem, start=newton_start, max_iter=budget)
     row["newton_status"] = rep.status.value
     row["newton_ok"] = rep.status == Status.CONVERGED and matches(rep.z)
     return row
@@ -549,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--start", default="b",
         help="newton start: 'b', 'plus', 'minus' or a +/- signature string",
     )
-    p_solve.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    p_solve.add_argument("--max-iter", type=int, default=NEWTON_MAX_ITER, dest="max_iter")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -561,12 +571,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a problem file")
     p_gen.add_argument("--class", dest="cls", required=True,
-                       help=f"one of: {', '.join(VALID_CLASSES)}")
-    p_gen.add_argument("--n", type=int, default=4)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--rhs", choices=("from-random-z", "explicit"), default="from-random-z")
-    p_gen.add_argument("--eps", type=float, default=0.01)
-    p_gen.add_argument("--a", type=float, default=0.625)
+                       help=f"one of: {', '.join(GENERATE_CLASSES)}")
+    # None marks an omitted option; cmd_generate fills in GENERATE_DEFAULTS.
+    p_gen.add_argument("--n", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--rhs", choices=("from-random-z", "explicit"), default=None)
+    p_gen.add_argument("--eps", type=float, default=None)
+    p_gen.add_argument("--a", type=float, default=None)
     p_gen.add_argument("--nu", type=float, default=None)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_generate)

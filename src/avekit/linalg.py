@@ -11,10 +11,10 @@ elimination by symmetric swaps on ``I - A S``.
 Both eliminate columns 0, 1, ..., n-1 in that order and the panel is
 flushed exactly when it fills, so the open panel of column k always
 starts at ``k - k % _PANEL``; the kernel derives it and callers keep no
-panel state.  ``lu_solve`` and ``back_substitute`` solve a matrix of
-right-hand sides (Newton's rank-r updates) in the same panels, each
-panel's contribution to the remaining rows one matrix product; a vector
-is one panel, so its result does not depend on ``_PANEL``.
+panel state.  ``lu_solve`` and ``back_substitute`` solve a vector or a
+matrix of right-hand sides (Newton's rank-r updates) in the same
+panels, each panel's contribution to the remaining rows one matrix
+product.
 ``max_abs_real_roots`` brackets only the largest |root| over a stack of
 polynomials by Sturm sign-variation counts: every chain is built on the
 stack, any degree drop included, and the bisection runs on an exact
@@ -155,14 +155,12 @@ def back_substitute(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Overwrite x with the solution of U x = x, U the upper triangle of
     ``lu``; x may be a vector or a matrix of stacked columns.
 
-    A matrix is solved ``_PANEL`` rows at a time from the bottom: each
-    row within the panel, then the rows above take the panel's
-    contribution as one matrix product.  A vector is one panel, one dot
-    per row, so its rounding does not depend on ``_PANEL``."""
+    x is solved ``_PANEL`` rows at a time from the bottom: each row
+    within the panel, then the rows above take the panel's contribution
+    as one matrix product."""
     n = x.shape[0]
-    width = _PANEL if x.ndim > 1 else max(n, 1)
-    for i1 in range(n, 0, -width):
-        i0 = max(i1 - width, 0)
+    for i1 in range(n, 0, -_PANEL):
+        i0 = max(i1 - _PANEL, 0)
         for k in range(i1 - 1, i0 - 1, -1):
             x[k] = (x[k] - lu[k, k + 1:i1] @ x[k + 1:i1]) / lu[k, k]
         if i0:
@@ -198,8 +196,8 @@ def lu_factor(a) -> LuFactorization:
 def lu_solve(f: LuFactorization, b) -> np.ndarray:
     """Solve A x = b given the factorization of A.
 
-    ``b`` may be a vector or a matrix of stacked right-hand side columns;
-    a matrix is forward-substituted ``_PANEL`` rows at a time like
+    ``b`` may be a vector or a matrix of stacked right-hand side columns,
+    forward-substituted ``_PANEL`` rows at a time like
     ``back_substitute``, each panel's contribution to the rows below it
     subtracted as one matrix product.
     """
@@ -209,9 +207,8 @@ def lu_solve(f: LuFactorization, b) -> np.ndarray:
         raise ValueError(f"right-hand side length {b.shape[0]} != {n}")
     x = b[f.perm]
     lu = f.lu
-    width = _PANEL if x.ndim > 1 else max(n, 1)
-    for i0 in range(0, n, width):
-        i1 = min(i0 + width, n)
+    for i0 in range(0, n, _PANEL):
+        i1 = min(i0 + _PANEL, n)
         for k in range(i0 + 1, i1):
             x[k] -= lu[k, i0:k] @ x[i0:k]
         if i1 < n:

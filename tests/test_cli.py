@@ -31,6 +31,28 @@ def read_json(path):
         return json.load(handle)
 
 
+# A value of each generate option that every class reading it accepts.
+SAMPLE_OPTIONS = {"n": "5", "seed": "3", "rhs": "from-random-z", "eps": "0.1", "a": "0.5",
+                  "nu": "1.5"}
+
+
+def class_argv(cls):
+    """generate's arguments for cls with a sample value of each option it reads."""
+    _build, reads = cli.GENERATE_CLASSES[cls]
+    return ["--class", cls, *(arg for o in reads for arg in (f"--{o}", SAMPLE_OPTIONS[o]))]
+
+
+def cli_process(*argv, env=(), **kwargs):
+    """Run the avekit entry point on argv in a new interpreter, with the
+    variables env added to the environment."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", "from avekit.cli import entrypoint; entrypoint()", *argv],
+        capture_output=True, timeout=60, env=env, **kwargs)
+
+
 def write_problem(path, problem):
     cli._write_json(cli.problem_to_dict(problem), str(path))
     return str(path)
@@ -105,6 +127,18 @@ class TestGenerate:
         text = json.dumps(read_json(str(path)), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # sha256 of the built-in instances at their default options, whose
+    # metadata lists the options in the order the class table gives them.
+    @pytest.mark.parametrize("cls, digest", [
+        ("sge-trap", "de1c61ad5b1a5f3c5b848e2befde3d4091896fe3a9b6ddafdbb56c7f3e04294d"),
+        ("newton-cycle", "41a293754944575177b7aaa28ec4159d74a26c2bcd9c3fbed80c9683a90a09e8"),
+        ("inflated-identity", "e9d696520a1d36a8fa11d5675436e5d047d427df56655b9b23a03428d44ce384"),
+    ])
+    def test_pinned_bytes_per_built_in_class(self, tmp_path, cls, digest):
+        path = tmp_path / "p.json"
+        assert run("generate", "--class", cls, "--out", str(path)) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_trap_instance_payload(self, trap_file):
         data = read_json(trap_file)
         assert data["n"] == 2
@@ -123,14 +157,48 @@ class TestGenerate:
     ])
     def test_invalid_numeric_option_is_one_error_line(self, tmp_path, capsys, option, value):
         # A seed past 64 bits once was reduced mod 2^64 (and could not be
-        # written as a JSON integer), and --nu nan wrote "nu": NaN.
+        # written as a JSON integer), and --nu nan wrote "nu": NaN.  Each
+        # option goes to a class that reads it.
+        cls = {"--seed": ("unconstrained", "--nu", "1.5"), "--nu": ("unconstrained",),
+               "--eps": ("sge-trap",), "--a": ("newton-cycle",)}[option]
         path = tmp_path / "x.json"
-        assert run("generate", "--class", "unconstrained", "--nu", "1.5", f"{option}={value}",
-                   "--out", str(path)) == 1
+        assert run("generate", "--class", *cls, f"{option}={value}", "--out", str(path)) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not path.exists()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert option in captured.err
+
+    @pytest.mark.parametrize("cls, option", [
+        (cls, option) for cls, (_build, reads) in cli.GENERATE_CLASSES.items()
+        for option in cli.GENERATE_DEFAULTS if option not in reads])
+    def test_option_the_class_does_not_read_is_refused(self, tmp_path, capsys, cls, option):
+        # sge-trap once took --n 7 --seed 5 and wrote the 2 x 2 trap.
+        path = tmp_path / "x.json"
+        assert run("generate", *class_argv(cls), f"--{option}", SAMPLE_OPTIONS[option],
+                   "--out", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert f"--{option}" in captured.err and repr(cls) in captured.err
+
+    def test_every_unread_option_is_named_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        assert run("generate", "--class", "sge-trap", "--n", "7", "--seed", "5", "--rhs",
+                   "explicit", "--nu", "3", "--a", "2", "--out", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: class 'sge-trap' does not read --n, --seed, --rhs, --a, --nu\n"
+        assert not path.exists()
+
+    def test_every_generator_class_is_reachable(self, tmp_path):
+        # Each seeded class of problems is what some class of generate writes.
+        refs = {g: pr.gen_class(g, 5, 3, nu=1.5) for g in pr.GENERATOR_CLASSES}
+        reached = set()
+        for cls in cli.GENERATE_CLASSES:
+            path = tmp_path / f"{cls}.json"
+            assert run("generate", *class_argv(cls), "--out", str(path)) == 0
+            problem, _known, _meta = cli.load_problem(str(path))
+            reached |= {g for g, a in refs.items() if np.array_equal(problem.a, a)}
+        assert reached == set(pr.GENERATOR_CLASSES)
 
     @pytest.mark.parametrize("seed", [2 ** 64 - 1, -(2 ** 63)])
     def test_seed_range_ends_are_written(self, tmp_path, seed):
@@ -328,13 +396,7 @@ class TestAnalyze:
         # ||A||_inf; radius is the known value where one is given.
         a = np.array(a)
         path = write_problem(tmp_path / "p.json", pr.AveProblem(a, np.ones(len(a))))
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", "from avekit.cli import entrypoint; entrypoint()",
-             "analyze", path, "--rho", rho],
-            capture_output=True, text=True, timeout=60, env=env)
+        done = cli_process("analyze", path, "--rho", rho, text=True)
         assert done.returncode == 0 and done.stderr == "", done.stderr
         data = json.loads(done.stdout, parse_constant=lambda name: pytest.fail(name))
         got = data[f"rho_sr_{rho}"]
@@ -495,6 +557,34 @@ class TestCompare:
         assert run("compare", "--dir", str(d), "--out", str(out)) == 0
         (row,) = read_json(str(out))["instances"]
         assert row["oracle"] == "oracle enumeration capped at n <= 12"
+
+    def test_newton_budget_is_bounded_above_the_enumeration_cap(self, tmp_path):
+        # 2^n + 1 steps, which bound the walk up to the cap, were no bound
+        # at n = 20; there Newton gets solve's default budget.
+        d = tmp_path / "instances"
+        d.mkdir()
+        for n in (4, 20):
+            assert run("generate", "--class", "norm-lt-half", "--n", str(n), "--seed", "1",
+                       "--out", str(d / f"n{n:02d}.json")) == 0
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--dir", str(d), "--out", str(out)) == 0
+        small, large = read_json(str(out))["instances"]
+        assert small["newton_budget"] == 2 ** 4 + 1
+        assert large["newton_budget"] == cli.NEWTON_MAX_ITER == 100
+        assert large["newton_status"] == "converged"
+
+    def test_ascii_stdout_keeps_the_report(self, tmp_path):
+        # The report is UTF-8 bytes whatever stdout's encoding; an ASCII
+        # stdout once lost it to a UnicodeEncodeError on the file name.
+        d = tmp_path / "instances"
+        d.mkdir()
+        assert run("generate", "--class", "norm-lt-half", "--n", "3",
+                   "--out", str(d / "tré.json")) == 0
+        done = cli_process("compare", "--dir", str(d), env={"PYTHONIOENCODING": "ascii"})
+        assert done.returncode == 0, done.stderr
+        report = orjson.loads(done.stdout)
+        assert [row["instance"] for row in report["instances"]] == ["tré.json"]
+        assert report["summary"]["both"] == 1
 
 
 class TestOverflowingRowSums:
@@ -998,9 +1088,7 @@ def test_non_finite_floats_are_written_as_null(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv", [
-    *[("generate", "--class", cls, "--n", "5", "--seed", "3",
-       *(("--nu", "1.5") if cls == "unconstrained" else ()))
-      for cls in cli.VALID_CLASSES],
+    *[("generate", *class_argv(cls)) for cls in cli.GENERATE_CLASSES],
     *[("solve", "{problem}", "--method", method) for method in ("sge", "newton", "oracle")],
     ("analyze", "{problem}"),
     ("compare", "--suite", "demo"),

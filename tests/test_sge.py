@@ -114,7 +114,8 @@ class TestSgeSolve:
     # rescaled to ||A||_inf = 0.9 and b from from_solution: |A| is
     # tridiagonal-symmetric with norm below 1 (cond4), the oracle finds one
     # solution, and SGE's first pick takes the sign of the largest |b_i|,
-    # which is not the sign of z*_i.
+    # which is not the sign of z*_i.  The third has A itself symmetric
+    # and cond4 alone, with b from z* = (-0.854, -0.008, -0.960).
     COND4_COUNTEREXAMPLES = [
         ([[-0.37018246343079214, 0.5298175365692079, 0.0],
           [0.5298175365692079, 0.04513797565485734, 0.1804619751687533],
@@ -125,11 +126,21 @@ class TestSgeSolve:
           [0.0, -0.339197885310415, -0.19795460738919407, -0.12484704123652861],
           [0.0, 0.0, -0.12484704123652861, -0.1858734405897627]],
          [-0.6511015166254959, 0.6917258603765196, -0.6618262086070152, 0.33049235961627454]),
+        ([[-0.352, -0.625, 0.0], [-0.625, -0.018, -0.034], [0.0, -0.034, -0.772]],
+         [-0.548392, 0.558534, -0.21860800000000002]),
     ]
+
+    def test_symmetric_cond4_counterexample_has_cond4_alone(self):
+        a = np.array(self.COND4_COUNTEREXAMPLES[2][0])
+        assert np.array_equal(a, a.T)
+        profile = an.condition_profile(a)
+        assert (profile.cond1, profile.cond2, profile.cond3, profile.cond4) == (
+            False, False, False, True)
 
     @pytest.mark.parametrize("a, b", COND4_COUNTEREXAMPLES)
     def test_cond4_counterexamples_go_astray(self, a, b):
-        # SGE answers wrongly (residuals 0.065 and 0.163); Newton finds z*.
+        # SGE answers wrongly (residuals 0.065, 0.163 and 2.3e-3); Newton
+        # finds z*.
         problem = pr.AveProblem(np.array(a), np.array(b))
         z_ref = oracle.unique_solution(problem)
         report = sge_solve(problem)
