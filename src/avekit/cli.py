@@ -17,10 +17,11 @@ round-trip digits and reads back bitwise; a non-finite one is written as
 ``null``.  The argument parser is built once, at import.
 
 The commands raise; ``main`` is the one error boundary and turns any
-``CliError``, ``AvekitError``, ``ValueError`` or ``OSError`` (an
-unreadable input, an unwritable ``--out``) into a single ``error: ...``
-line on stderr.  Exit codes: 0 on a converged/unique result, 2 on any
-non-convergent solver status, 1 on I/O or validation errors.
+``CliError``, ``AvekitError``, ``ValueError``, ``OSError`` (an
+unreadable input, an unwritable ``--out``) or ``MemoryError`` into a
+single ``error: ...`` line on stderr.  Exit codes: 0 on a
+converged/unique result, 2 on any non-convergent solver status, 1 on
+I/O, validation or out-of-memory errors.
 """
 
 from __future__ import annotations
@@ -375,12 +376,12 @@ def _report_dict(report: SolveReport, elapsed_ms: float, **extra) -> dict:
     return out
 
 
-def _run_method(problem: AveProblem, method: str, start, max_iter: int):
+def _run_method(problem: AveProblem, method: str, **newton_options):
     """Returns (report, extra report fields) for one solver run."""
     if method == "sge":
         return sge.sge_solve(problem), {}
     if method == "newton":
-        return newton_solve(problem, start=start, max_iter=max_iter), {}
+        return newton_solve(problem, **newton_options), {}
     # oracle
     result = oracle.enumerate_solutions(problem)
     count = len(result.solutions)
@@ -400,10 +401,20 @@ def _run_method(problem: AveProblem, method: str, start, max_iter: int):
 
 
 def cmd_solve(args) -> int:
+    # --start and --max-iter are Newton's alone; None marks an omitted one.
+    given = [flag for flag, value in (("--start", args.start), ("--max-iter", args.max_iter))
+             if value is not None]
+    if given and args.method != "newton":
+        raise CliError(f"method {args.method!r} does not read {', '.join(given)}")
     problem, _known, _meta = load_problem(args.input)
-    start = _parse_start(args.start, problem.n)
+    newton_options = {}
+    if args.method == "newton":
+        newton_options = {
+            "start": _parse_start("b" if args.start is None else args.start, problem.n),
+            "max_iter": NEWTON_MAX_ITER if args.max_iter is None else args.max_iter,
+        }
     t0 = time.perf_counter()
-    report, extra = _run_method(problem, args.method, start, args.max_iter)
+    report, extra = _run_method(problem, args.method, **newton_options)
     out = _report_dict(report, (time.perf_counter() - t0) * 1e3, **extra)
     _write_json(out, args.out)
     return 0 if report.status == Status.CONVERGED else 2
@@ -556,10 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="problem JSON file")
     p_solve.add_argument("--method", choices=("sge", "newton", "oracle"), default="sge")
     p_solve.add_argument(
-        "--start", default="b",
-        help="newton start: 'b', 'plus', 'minus' or a +/- signature string",
+        "--start", default=None,
+        help="newton start: 'b' (the default), 'plus', 'minus' or a +/- signature string",
     )
-    p_solve.add_argument("--max-iter", type=int, default=NEWTON_MAX_ITER, dest="max_iter")
+    p_solve.add_argument("--max-iter", type=int, default=None, dest="max_iter",
+                         help=f"newton step budget (default {NEWTON_MAX_ITER})")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -600,6 +612,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, AvekitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

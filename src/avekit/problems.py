@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -185,14 +186,17 @@ def _draw_with_followers(rng: XorShift64Star, hit, heads: int):
     return np.concatenate(hit_parts), np.concatenate(follower_parts)
 
 
+def _scale_rows(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Scale each row of a whose absolute sum is positive to the absolute
+    sum in targets; a row of zeros stays as it is."""
+    sums = np.abs(a).sum(axis=1)
+    a *= np.divide(targets, sums, out=np.ones_like(sums), where=sums > 0.0)[:, None]
+    return a
+
+
 def _gen_norm_lt_half(rng: XorShift64Star, n: int) -> np.ndarray:
     a = rng.uniform_array((n, n))
-    targets = rng.uniform_array(n, 0.05, 0.499)
-    for i, target in enumerate(targets.tolist()):
-        s = float(np.abs(a[i]).sum())
-        if s > 0.0:
-            a[i] *= target / s
-    return a
+    return _scale_rows(a, rng.uniform_array(n, 0.05, 0.499))
 
 
 def _gen_irreducible_half(rng: XorShift64Star, n: int) -> np.ndarray:
@@ -234,8 +238,6 @@ def _gen_sdd_two_thirds(rng: XorShift64Star, n: int) -> np.ndarray:
 
 
 def _gen_tridiag_abs_sym(rng: XorShift64Star, n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("tridiag_abs_sym needs n >= 2")
     a = np.zeros((n, n))
     draws = rng.random_array(3 * (n - 1)).reshape(n - 1, 3)
     mags = to_uniform(draws[:, 0], 0.05, 1.0)
@@ -251,12 +253,7 @@ def _gen_norm_lt_third(rng: XorShift64Star, n: int) -> np.ndarray:
     a = rng.uniform_array((n, n))
     hot = rng.below(n)
     hot_target = rng.uniform(0.2, 0.3299)
-    targets = np.insert(rng.uniform_array(n - 1, 0.05, hot_target), hot, hot_target)
-    for i, target in enumerate(targets.tolist()):
-        s = float(np.abs(a[i]).sum())
-        if s > 0.0:
-            a[i] *= target / s
-    return a
+    return _scale_rows(a, np.insert(rng.uniform_array(n - 1, 0.05, hot_target), hot, hot_target))
 
 
 def _gen_unconstrained(rng: XorShift64Star, n: int, nu: float) -> np.ndarray:
@@ -268,14 +265,17 @@ def _gen_unconstrained(rng: XorShift64Star, n: int, nu: float) -> np.ndarray:
     return a * (nu / norm)
 
 
-GENERATOR_CLASSES = (
-    "norm_lt_half",
-    "irreducible_half",
-    "sdd_two_thirds",
-    "tridiag_abs_sym",
-    "norm_lt_third",
-    "unconstrained",
-)
+# Each class's draw and the test its matrix must pass, the one place that
+# says what a class name means.  unconstrained's draw also takes nu.
+_CLASSES = {
+    "norm_lt_half": (_gen_norm_lt_half, lambda a: condition_profile(a).cond1),
+    "irreducible_half": (_gen_irreducible_half, lambda a: condition_profile(a).cond2),
+    "sdd_two_thirds": (_gen_sdd_two_thirds, lambda a: condition_profile(a).cond3),
+    "tridiag_abs_sym": (_gen_tridiag_abs_sym, lambda a: condition_profile(a).cond4),
+    "norm_lt_third": (_gen_norm_lt_third, lambda a: infinity_norm(a) < 1.0 / 3.0),
+    "unconstrained": (_gen_unconstrained, lambda a: True),
+}
+GENERATOR_CLASSES = tuple(_CLASSES)
 
 
 def _class_stream(class_name: str, n: int) -> int:
@@ -286,8 +286,8 @@ def gen_class(class_name: str, n: int, seed: int, nu: float | None = None) -> np
     """Deterministic random matrix satisfying the named condition class.
 
     Identical (class_name, n, seed) arguments yield a bitwise-identical
-    matrix.  The output is re-verified against the class predicate and
-    resampled on failure; GenerationFailed after 1000 attempts.
+    matrix.  The output is re-verified against the class's test in
+    _CLASSES and redrawn on failure; GenerationFailed after 1000 draws.
     """
     if class_name not in GENERATOR_CLASSES:
         raise ValueError(f"unknown class {class_name!r}; valid: {', '.join(GENERATOR_CLASSES)}")
@@ -296,27 +296,13 @@ def gen_class(class_name: str, n: int, seed: int, nu: float | None = None) -> np
     if class_name == "unconstrained" and (nu is None or nu <= 0.0):
         raise ValueError("class 'unconstrained' needs a positive norm target nu")
 
+    draw, admissible = _CLASSES[class_name]
+    if class_name == "unconstrained":
+        draw = partial(draw, nu=float(nu))
     rng = XorShift64Star(seed, stream=_class_stream(class_name, n))
     for _ in range(1000):
-        if class_name == "norm_lt_half":
-            a = _gen_norm_lt_half(rng, n)
-            ok = condition_profile(a).cond1
-        elif class_name == "irreducible_half":
-            a = _gen_irreducible_half(rng, n)
-            ok = condition_profile(a).cond2
-        elif class_name == "sdd_two_thirds":
-            a = _gen_sdd_two_thirds(rng, n)
-            ok = condition_profile(a).cond3
-        elif class_name == "tridiag_abs_sym":
-            a = _gen_tridiag_abs_sym(rng, n)
-            ok = condition_profile(a).cond4
-        elif class_name == "norm_lt_third":
-            a = _gen_norm_lt_third(rng, n)
-            ok = infinity_norm(a) < 1.0 / 3.0
-        else:
-            a = _gen_unconstrained(rng, n, float(nu))
-            ok = True
-        if ok:
+        a = draw(rng, n)
+        if admissible(a):
             return a
     raise GenerationFailed(f"no admissible {class_name!r} matrix after 1000 attempts")
 

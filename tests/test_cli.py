@@ -207,6 +207,32 @@ class TestGenerate:
                    "--out", str(path)) == 0
         assert read_json(str(path))["metadata"]["seed"] == seed
 
+    @pytest.mark.parametrize("text, err", [
+        ("Unable to allocate 74.5 GiB", "error: out of memory: Unable to allocate 74.5 GiB\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, text, err):
+        def allocate(eps, n):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(pr, "inflated_identity", allocate)
+        path = tmp_path / "x.json"
+        assert run("generate", "--class", "inflated-identity", "--n", "100000",
+                   "--out", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+        assert not path.exists()
+
+    def test_generation_failed_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        draw, _admissible = pr._CLASSES["norm_lt_half"]
+        monkeypatch.setitem(pr._CLASSES, "norm_lt_half", (draw, lambda a: False))
+        path = tmp_path / "x.json"
+        assert run("generate", "--class", "norm-lt-half", "--n", "3", "--out", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no admissible 'norm_lt_half' matrix after 1000 attempts\n"
+        assert not path.exists()
+
     def test_invalid_class_lists_valid_ones(self, tmp_path, capsys):
         assert run("generate", "--class", "bogus", "--out", str(tmp_path / "x.json")) == 1
         err = capsys.readouterr().err
@@ -327,6 +353,31 @@ class TestSolve:
         report = read_json(str(out))
         assert report["status"] == "converged"
         assert report["z"] == pytest.approx([0.005, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("option", [("--start", "plus"), ("--max-iter", "5")])
+    @pytest.mark.parametrize("method", ["sge", "oracle"])
+    def test_option_newton_alone_reads_is_refused(self, trap_file, tmp_path, capsys,
+                                                   method, option):
+        out = tmp_path / "report.json"
+        assert run("solve", trap_file, "--method", method, *option, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: method '{method}' does not read {option[0]}\n"
+
+    def test_unread_options_are_refused_before_loading(self, tmp_path, capsys):
+        # The refusal comes before the input is read: the file does not exist.
+        assert run("solve", str(tmp_path / "missing.json"), "--start", "+-+-",
+                   "--max-iter", "1") == 1
+        assert capsys.readouterr().err == "error: method 'sge' does not read --start, --max-iter\n"
+
+    def test_newton_defaults(self, circulant_file, tmp_path):
+        reports = []
+        for options in ((), ("--start", "b", "--max-iter", str(cli.NEWTON_MAX_ITER))):
+            out = tmp_path / "report.json"
+            assert run("solve", circulant_file, "--method", "newton", *options,
+                       "--out", str(out)) == 0
+            reports.append({k: v for k, v in read_json(str(out)).items() if k != "timings_ms"})
+        assert reports[0] == reports[1]
 
     def test_invalid_start_word(self, trap_file, capsys):
         assert run("solve", trap_file, "--method", "newton", "--start", "both") == 1

@@ -4,7 +4,7 @@ import pytest
 from avekit import analysis as an
 from avekit import problems as pr
 from avekit._rng import XorShift64Star, to_uniform
-from avekit.errors import NotUnique, SingularTransform
+from avekit.errors import GenerationFailed, NotUnique, SingularTransform
 from avekit.linalg import infinity_norm
 from avekit.oracle import enumerate_solutions, unique_solution
 
@@ -119,6 +119,37 @@ class TestGenerators:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             pr.gen_class("nope", 3, 0)
+
+    def test_generation_fails_after_1000_draws(self, monkeypatch):
+        draw, _admissible = pr._CLASSES["norm_lt_half"]
+        calls = []
+
+        def counted(rng, n):
+            calls.append(n)
+            return draw(rng, n)
+
+        monkeypatch.setitem(pr._CLASSES, "norm_lt_half", (counted, lambda a: False))
+        with pytest.raises(GenerationFailed) as info:
+            pr.gen_class("norm_lt_half", 3, 0)
+        assert str(info.value) == "no admissible 'norm_lt_half' matrix after 1000 attempts"
+        assert calls == [3] * 1000
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 17, 130, 1000])
+    def test_scale_rows_is_the_row_loop(self, n):
+        # The per-row loop the two norm generators ran, as the reference;
+        # rows of signed zeros stay as they are and warn of no division.
+        gen = rng(n)
+        a = gen.uniform(-1.0, 1.0, (n, n))
+        zero = gen.random(n) < 0.3
+        zero[0] = True
+        a[zero] = np.where(gen.random(n) < 0.5, 0.0, -0.0)
+        targets = gen.uniform(0.05, 0.499, n)
+        want = a.copy()
+        for i, target in enumerate(targets.tolist()):
+            s = float(np.abs(want[i]).sum())
+            if s > 0.0:
+                want[i] *= target / s
+        assert pr._scale_rows(a, targets).tobytes() == want.tobytes()
 
     def test_random_instance_known_solution(self):
         problem, z = pr.random_instance("norm_lt_half", 5, 9)
