@@ -19,6 +19,7 @@ from .linalg import (
     as_square_matrix,
     as_vector,
     char_polys_stack,
+    gamma,
     infinity_norm,
     lu_factor,
     lu_solve,
@@ -282,10 +283,9 @@ def _radius_bounds(x: np.ndarray) -> np.ndarray:
     return (norms + slack) ** (1.0 / k) * (1.0 + 4 * eps)
 
 
-def signature_systems(a: np.ndarray, scale: float = 1.0):
-    """The stack I - (A/scale)S over all signatures S (in
-    ``signature_stack(n)`` order), its determinants and each matrix's
-    singularity threshold, the one rule of ``_signature_thresholds``."""
+def signature_matrices(a: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The stack I - (A/scale)S over all signatures S, in
+    ``signature_stack(n)`` order."""
     signs = signature_stack(a.shape[0])
     m, n = signs.shape
     # Row-major whatever the layout of a, so that the reshape below is a
@@ -294,7 +294,15 @@ def signature_systems(a: np.ndarray, scale: float = 1.0):
     # 0 - x rather than -x keeps zero entries +0, as in I - x.
     np.subtract(0.0, mats, out=mats)
     mats.reshape(m, n * n)[:, ::n + 1] += 1.0
-    thr = _signature_thresholds(_threshold_rows(a), scale).reshape(m)
+    return mats
+
+
+def signature_systems(a: np.ndarray, scale: float = 1.0):
+    """The stack ``signature_matrices(a, scale)``, its determinants and
+    each matrix's singularity threshold, the one rule of
+    ``_signature_thresholds``."""
+    mats = signature_matrices(a, scale)
+    thr = _signature_thresholds(_threshold_rows(a), scale).reshape(len(mats))
     # A determinant past the float range comes out inf, which clears any
     # threshold: the system counts as nonsingular, as it is.
     with np.errstate(over="ignore"):
@@ -441,6 +449,49 @@ def _signature_thresholds(rows, t: float):
     norms = _row_norms(rows, t)
     hi_max, lo_max = [norms[half].max(axis=1, initial=0.0) for half in rows[2]]
     return threshold_of_norms(np.maximum.outer(hi_max, lo_max))
+
+
+def _price_margin(n: int) -> float:
+    """The rounding margin delta of ``_price_certified`` at dimension n:
+    gamma_n (n^2 2^(n+1) + 2).
+
+    LAPACK's LU with partial pivoting of M = I - AS is the exact LU of
+    P(M + dM), |dM| <= gamma_n |L||U| (Higham, Accuracy and Stability,
+    Theorem 9.3, for every order of the inner products).  Its multipliers
+    are at most 1 and no entry of U exceeds 2^(n-1), rounding included
+    2^n, times max |m_ij| < 2, so each row of |dM| sums to at most
+    gamma_n n^2 2^(n+1).  The computed row sums of |A| are within gamma_n
+    of the exact ones, which are below 1: the other 2 gamma_n.  At n = 12
+    delta is 1.6e-9."""
+    return gamma(n) * (n * n * math.ldexp(2.0, n) + 2.0)
+
+
+def _price_certified(a: np.ndarray) -> bool:
+    """Whether LAPACK's det(I - AS) provably clears its threshold
+    (``_signature_thresholds``) for every signature S at once, so that a
+    sweep of ``signature_systems(a)`` would flag no system as singular.
+    O(n^2), against the 2^n LU factorizations of that sweep.
+
+    Let r_i be the row sums of |A|.  Where every r_i < 1, the rows of
+    I - AS are strictly diagonally dominant by 1 - r_i whatever S is, and
+    Price's bound (G. B. Price, Proc. AMS 2, 1951) gives |det(I - AS)| >=
+    prod_i (1 - r_i).  The matrix LAPACK factors exactly differs from
+    I - AS by less than ``_price_margin(n)`` = delta in every row sum, so
+    its |det| is at least prod_i (1 - r_i - delta) once every factor is
+    positive.  Every threshold is at most 1e-14 (2 + ||A||_inf), as
+    ||I - AS||_inf <= 1 + ||A||_inf.  The certificate asks the product to
+    exceed twice that: the factor 2 covers the rounding of the product,
+    of the thresholds and of numpy's det, sign * exp(log |det|), which
+    stays below 1e-11 relative at n <= 12.  False wherever ||A||_inf >=
+    1 or the bound is too close to a threshold; then only the sweep
+    decides."""
+    rows = np.abs(a).sum(axis=1)
+    norm = float(rows.max())
+    if not norm < 1.0:
+        return False
+    factors = 1.0 - rows - _price_margin(a.shape[0])
+    return bool(factors.min() > 0.0
+                and np.prod(factors) > 2.0 * threshold_of_norms(1.0 + norm))
 
 
 def _expanded_dets(minors, sizes, t: float) -> np.ndarray:

@@ -19,9 +19,19 @@ round-trip digits and reads back bitwise; a non-finite one is written as
 The commands raise; ``main`` is the one error boundary and turns any
 ``CliError``, ``AvekitError``, ``ValueError``, ``OSError`` (an
 unreadable input, an unwritable ``--out``) or ``MemoryError`` into a
-single ``error: ...`` line on stderr.  Exit codes: 0 on a
-converged/unique result, 2 on any non-convergent solver status, 1 on
-I/O, validation or out-of-memory errors.
+single ``error: ...`` line on stderr.  Exit codes:
+
+* 0: ``solve`` reports ``converged`` (for sge and newton, an answer that
+  passed ``report.verify``; for the oracle, a unique solution), and
+  every other command succeeded;
+* 2: ``solve`` reports any other status: ``unverified`` (an answer that
+  failed ``report.verify`` or is not finite), ``cycle``,
+  ``max_iterations``, ``singular``, ``pivot_breakdown`` or
+  ``not_unique``;
+* 1: I/O, validation or out-of-memory errors.
+
+``compare`` counts an answer as ok only when its status is ``converged``
+and it matches the oracle's unique solution.
 """
 
 from __future__ import annotations
@@ -483,7 +493,7 @@ def _compare_one(name: str, problem: AveProblem, newton_start) -> dict:
 
     rep = sge.sge_solve(problem)
     row["sge_status"] = rep.status.value
-    row["sge_ok"] = matches(rep.z)
+    row["sge_ok"] = rep.status == Status.CONVERGED and matches(rep.z)
     # Up to the enumeration cap, 2^n + 1 steps force the walk to converge
     # or revisit a signature; above it, 2^n is no bound.
     budget = 2 ** problem.n + 1 if problem.n <= analysis.MAX_ENUM_DIM else NEWTON_MAX_ITER

@@ -98,6 +98,17 @@ def threshold_of_norms(norms):
     return 1e-14 * (1.0 + norms)
 
 
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff: a product
+    of k factors (1 + d_i), |d_i| <= u, lies within gamma_k relative of
+    1, so a k-term dot product is computed within gamma_k of its sum of
+    absolute terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 3.1).  ``report.verify``'s residual bound
+    and ``analysis._price_certified``'s margin are taken from it."""
+    ku = math.ldexp(k, -53)
+    return ku / (1.0 - ku)
+
+
 @dataclass(frozen=True)
 class LuFactorization:
     """Combined LU storage of a row-permuted matrix.

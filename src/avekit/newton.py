@@ -25,6 +25,7 @@ det(I - A S_b) det(C), C's pivots decide whether the step is solved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .analysis import condition_profile, signature_of
 from .errors import SingularMatrix
 from .linalg import LuFactorization, lu_factor, lu_solve
 from .problems import AveProblem, residual
-from .report import SolveReport, Status
+from .report import SolveReport, Status, verify
 
 # A step updates the last fresh factorization when it flips at most
 # n / _UPDATE_SHARE signs on nonzero columns of A.  Measured against a
@@ -99,6 +100,9 @@ class NewtonTrace:
     residuals: list[float] = field(default_factory=list)
 
 
+# An overflow leaves an iterate or a residual that is not finite, which
+# ends the walk or fails verify, in place of a RuntimeWarning.
+@np.errstate(over="ignore", invalid="ignore")
 def newton_solve(
     problem: AveProblem,
     start: np.ndarray | None = None,
@@ -111,11 +115,13 @@ def newton_solve(
     iterate's signature equals the one that produced it: the next step
     would reproduce the iterate exactly.  Stops as a cycle when the
     signature matches any earlier one; as singular when the fresh LU
-    factorization of some I - A S_k fails; and as max_iterations
-    otherwise.  Steps after the first update the last fresh factorization
-    where few signs changed (module docstring).  Default
-    budget is n + 1 steps, which suffices whenever a sufficient
-    condition holds.
+    factorization of some I - A S_k fails; as unverified when an iterate
+    is not finite (its residual is then inf); and as max_iterations
+    otherwise.  A fixed point is reported converged only when it passes
+    ``report.verify``, and unverified otherwise.  Steps after the first
+    update the last fresh factorization where few signs changed (module
+    docstring).  Default budget is n + 1 steps, which suffices whenever
+    a sufficient condition holds.
 
     ``iterations`` counts the steps up to the first stationary iterate;
     a solve that merely re-confirms the previous iterate bitwise (zero
@@ -149,15 +155,20 @@ def newton_solve(
                 status = Status.SINGULAR
                 break
             base = (f, s_cur, z_new)
+        finite = bool(np.isfinite(z_new).all())
         # At step >= 2, s_cur is the signature of the previous iterate, so a
         # bitwise repeat of that iterate also repeats its signature.
         stationary = bool(trace.iterates) and np.array_equal(z_new, trace.iterates[-1])
         trace.iterates.append(z_new)
-        trace.residuals.append(residual(problem, z_new))
+        trace.residuals.append(residual(problem, z_new) if finite else math.inf)
         s_new = signature_of(z_new)
         trace.signatures.append(s_new)
         z = z_new
         iterations = step
+        if not finite:
+            # No signature of an overflowed iterate is worth following.
+            status = Status.UNVERIFIED
+            break
         if np.array_equal(s_new, s_cur):
             status = Status.CONVERGED
             if stationary:
@@ -177,6 +188,11 @@ def newton_solve(
         seen.add(key)
         s_cur = s_new
 
+    # The fixed point is checked like any answer: in its own orthant the
+    # residual bound is the test that can fail.
+    if status == Status.CONVERGED and not verify(problem, z, s_cur, trace.residuals[-1],
+                                                 profile.norm_inf):
+        status = Status.UNVERIFIED
     return SolveReport(
         method="newton",
         status=status,

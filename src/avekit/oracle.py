@@ -4,9 +4,16 @@ Solves (I - AS) z = b for every signature S and keeps the candidates
 that land in the orthant S encodes.  Exponential, so capped at small n;
 serves as ground truth for both real solvers.  The linear solves run
 through numpy's stacked LAPACK routines, a code path deliberately
-disjoint from the hand-rolled LU the solvers use.  The orthant test
-runs in one pass over the whole stack of candidates; only the
-consistent ones get the residual and deduplication checks, in
+disjoint from the hand-rolled LU the solvers use.
+
+A signature whose LAPACK det(I - AS) is at or below its threshold
+(``analysis.signature_systems``) counts as singular and gets no
+candidate.  Where ||A||_inf < 1 that det sweep is skipped when Price's
+bound, less a rounding margin, proves that it would flag no signature
+(``analysis._price_certified``): then the stack goes to one
+``np.linalg.solve`` and the result is the sweep's bit for bit.  The
+orthant test runs in one pass over the whole stack of candidates; only
+the consistent ones get the residual and deduplication checks, in
 enumeration order.
 """
 
@@ -16,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _check_enum_dim, signature_stack, signature_systems
+from .analysis import (_check_enum_dim, _price_certified, signature_matrices, signature_stack,
+                       signature_systems)
 from .errors import NotUnique
 from .linalg import infinity_norm
 from .problems import AveProblem, residual
@@ -42,8 +50,12 @@ def enumerate_solutions(problem: AveProblem) -> OracleResult:
     n = problem.n
     _check_enum_dim(n, "oracle enumeration")
     signs = signature_stack(n, fix_first=False)
-    mats, dets, thresholds = signature_systems(problem.a)
-    singular = np.abs(dets) <= thresholds
+    if _price_certified(problem.a):
+        mats = signature_matrices(problem.a)
+        singular = np.zeros(len(mats), dtype=bool)
+    else:
+        mats, dets, thresholds = signature_systems(problem.a)
+        singular = np.abs(dets) <= thresholds
 
     candidates = np.full((signs.shape[0], n), np.nan)
     solvable = np.flatnonzero(~singular)

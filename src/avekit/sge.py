@@ -16,6 +16,7 @@ whose largest |y| is unique takes it from one ``argmax``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .analysis import condition_profile
 from .errors import PivotBreakdown
 from .linalg import back_substitute, catch_up_column, elimination_step, threshold_of_norms
 from .problems import AveProblem, residual
-from .report import SolveReport, Status
+from .report import SolveReport, Status, verify
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,9 @@ def _round_picks(y: np.ndarray, perm: list[int], p: int) -> list[tuple[int, int]
     return [(k, 1 if y[q] >= 0.0 else -1) for k, q in chosen]
 
 
+# An overflow leaves a z or a residual that is not finite, which verify
+# rejects, in place of a RuntimeWarning.
+@np.errstate(over="ignore", invalid="ignore")
 def sge_solve(problem: AveProblem) -> SolveReport:
     """Solve z - A|z| = b by signed Gaussian elimination.
 
@@ -90,6 +94,9 @@ def sge_solve(problem: AveProblem) -> SolveReport:
 
     When some pivot 1 - a_kk*s vanishes, which cannot happen under the
     sufficient conditions, the report has status PIVOT_BREAKDOWN and no z.
+    Otherwise the status is CONVERGED when z passes ``report.verify`` in
+    the orthant of the pinned signs, and UNVERIFIED when it does not,
+    which includes a z that overflowed (its residual is then inf).
     """
     n = problem.n
     profile = condition_profile(problem.a)
@@ -132,11 +139,13 @@ def sge_solve(problem: AveProblem) -> SolveReport:
 
     z = np.zeros(n)
     z[perm[:p]] = back_substitute(lu[:p, :p], y[:p])
+    res = residual(problem, z) if np.isfinite(z).all() else math.inf
+    verified = verify(problem, z, signs, res, profile.norm_inf)
     return SolveReport(
         method="sge",
-        status=Status.CONVERGED,
+        status=Status.CONVERGED if verified else Status.UNVERIFIED,
         z=z,
-        residual=residual(problem, z),
+        residual=res,
         iterations=len(trace),
         profile=profile,
         signs=signs,

@@ -283,3 +283,31 @@ def test_criterion_10_cross_estimator_agreement():
         worst <= 2 * tol,
         f"worst gap {worst:.3e}",
     )
+
+
+def test_criterion_11_converged_answers_are_solutions():
+    # Unconstrained instances on both sides of ||A||_inf = 1: at nu = 0.9
+    # the oracle runs its certified path, at 1.5 and 2.0 its det sweep.
+    # Several solutions may exist; a converged answer must be one of them.
+    wrong = {"sge": 0, "newton": 0}
+    unverified = {"sge": 0, "newton": 0}
+    certified = 0
+    for nu in (0.9, 1.5, 2.0):
+        for seed in range(300):
+            problem, _z = pr.random_instance("unconstrained", 2 + seed % 7, seed, nu=nu)
+            certified += an._price_certified(problem.a)
+            solutions = [z for _sig, z in enumerate_solutions(problem).solutions]
+            for name, report in (("sge", sge_solve(problem)), ("newton", newton_solve(problem))):
+                if report.status == Status.UNVERIFIED:
+                    unverified[name] += 1
+                elif report.status == Status.CONVERGED:
+                    wrong[name] += not any(
+                        np.abs(report.z - z).max() <= MATCH_RTOL * np.abs(z).max()
+                        for z in solutions)
+    _report(
+        11,
+        "no converged SGE or Newton answer lies farther than 1e-8 relative from "
+        "every oracle solution (900 unconstrained instances, nu = 0.9, 1.5, 2.0)",
+        wrong == {"sge": 0, "newton": 0} and certified == 300,
+        f"wrong {wrong}, unverified {unverified}, oracle certified {certified}",
+    )

@@ -272,6 +272,27 @@ class TestSolve:
         assert report["status"] == "converged"
         assert report["residual"] <= 1e-10
 
+    def test_sge_on_trap_is_unverified(self, trap_file, capsys):
+        # SGE's answer lies outside its orthant, residual 4.95e-5: exit 2.
+        assert run("solve", trap_file, "--method", "sge") == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "unverified"
+        assert report["signs"] == [-1, 1] and report["z"][0] > 0.0
+        assert report["residual"] == pytest.approx(4.95e-5, rel=1e-2)
+
+    @pytest.mark.parametrize("method", ["sge", "newton"])
+    def test_overflowing_solution_is_unverified(self, tmp_path, capsys, method):
+        # z_0 = 1.7e308 / 0.1 overflows.  It once gave a numpy RuntimeWarning,
+        # then "error: vector entries must be finite" and exit 1.
+        path = tmp_path / "p.json"
+        path.write_text('{"n": 2, "A": [[0.9, 0], [0, 0.9]], "b": [1.7e308, 1]}')
+        assert run("solve", str(path), "--method", method) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = orjson.loads(captured.out)
+        assert report["status"] == "unverified"
+        assert report["z"][0] is None and report["residual"] is None
+
     def test_newton_cycle_exit_code(self, circulant_file, tmp_path):
         out = tmp_path / "report.json"
         code = run("solve", circulant_file, "--method", "newton", "--start", "+-+",
@@ -530,6 +551,7 @@ class TestCompare:
         trap = rows["trap-eps-0.01"]
         circ = rows["circulant-5-8-mixed-start"]
         assert trap["newton_ok"] and not trap["sge_ok"]
+        assert trap["sge_status"] == "unverified" and trap["newton_status"] == "converged"
         assert circ["sge_ok"] and not circ["newton_ok"]
         assert data["summary"]["sge_only"] == 1
         assert data["summary"]["newton_only"] == 1
@@ -1149,11 +1171,13 @@ def test_every_output_is_strict_json(tmp_path, capsys, argv):
     problem = tmp_path / "p.json"
     assert run("generate", "--class", "sge-trap", "--out", str(problem)) == 0
     argv = [arg.format(problem=problem) for arg in argv]
-    assert run(*argv) == 0
+    # SGE's answer on the trap fails verify: that solve exits 2.
+    code = 2 if argv[-1] == "sge" else 0
+    assert run(*argv) == code
     stdout = capsys.readouterr().out
     orjson.loads(stdout)
     out = tmp_path / "out.json"
-    assert run(*argv, "--out", str(out)) == 0
+    assert run(*argv, "--out", str(out)) == code
     orjson.loads(out.read_bytes())
     if argv[0] == "generate":
         assert out.read_bytes() == stdout.encode()

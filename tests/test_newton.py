@@ -82,6 +82,29 @@ class TestNewtonSolve:
         assert report.status == Status.SINGULAR
         assert report.z is None
 
+    @pytest.mark.parametrize("k", [0, -70])
+    def test_inaccurate_fixed_point_is_unverified(self, k):
+        # I - A = W, Wilkinson's matrix of LU growth 2^(n-1): at n = 60 the
+        # first solve from the all-plus start lands in its own orthant,
+        # which makes it a fixed point, with residual 3 against b = W 1.
+        # The bound is homogeneous, so b = 2^-70 W 1 fails it alike.
+        n = 60
+        w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        w[:, -1] = 1.0
+        problem = pr.AveProblem(np.eye(n) - w, np.ldexp(w @ np.ones(n), k))
+        report = newton_solve(problem, start=np.ones(n))
+        assert report.iterations == 1
+        assert np.array_equal(an.signature_of(report.z), np.ones(n))
+        assert report.residual >= np.ldexp(1.0, k)
+        assert report.status == Status.UNVERIFIED
+
+    def test_overflowing_iterate_is_unverified(self):
+        problem = pr.AveProblem(0.9 * np.eye(2), np.array([1.7e308, 1.0]))
+        report = newton_solve(problem)
+        assert report.status == Status.UNVERIFIED
+        assert report.iterations == 1 and np.isinf(report.z[0])
+        assert report.residual == np.inf == report.newton_trace.residuals[-1]
+
     def test_max_iter_validation(self):
         problem, _ = pr.random_instance("norm_lt_half", 3, 1)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avekit import analysis as an
+from avekit import linalg as la
 from avekit import problems as pr
 from avekit.errors import DimensionTooLarge, NotUnique
 from avekit.oracle import enumerate_solutions, unique_solution
@@ -50,6 +51,20 @@ def per_signature_reference(problem):
     return solutions, [signs[i].astype(np.int64) for i in np.nonzero(singular)[0]]
 
 
+def rows_scaled(g, n, sums):
+    """A uniform [-1, 1] matrix whose rows are scaled to absolute sums
+    ``sums``."""
+    a = g.uniform(-1.0, 1.0, size=(n, n))
+    return a * (np.asarray(sums) / np.abs(a).sum(axis=1))[:, None]
+
+
+def planted(g, a):
+    """The problem on a whose solution lies in a random orthant."""
+    n = a.shape[0]
+    s = g.choice([-1.0, 1.0], size=n)
+    return pr.AveProblem(a, (np.diag(s) - a) @ g.uniform(0.1, 1.0, size=n))
+
+
 def assert_matches_reference(problem):
     result = enumerate_solutions(problem)
     solutions, singular = per_signature_reference(problem)
@@ -90,6 +105,43 @@ class TestMatchesPerSignatureReference:
     def test_boundary_dedup(self):
         problem = pr.AveProblem(np.zeros((2, 2)), np.array([0.0, 1.0]))
         assert len(assert_matches_reference(problem).solutions) == 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_norm_below_one_is_certified(self, n, seed):
+        # The reference keeps the det sweep; the oracle skips it.
+        g = rng(500 * n + seed)
+        a = rows_scaled(g, n, g.uniform(0.05, 0.98, n))
+        assert an._price_certified(a)
+        assert_matches_reference(planted(g, a))
+
+    @pytest.mark.parametrize("k", range(1, 53))
+    def test_rows_scaled_to_one_minus_power_of_two(self, k):
+        # prod_i (1 - r_i) = 2^-kn clears twice the largest threshold, about
+        # 6e-14 = 2^-44.1, for kn < 44 only; at k = 52 some row sums round
+        # to 1.
+        n = 1 + k % 12
+        g = rng(700 + k)
+        a = rows_scaled(g, n, np.full(n, 1.0 - 2.0 ** -k))
+        assert an._price_certified(a) == (k * n < 44)
+        assert_matches_reference(planted(g, a))
+
+    def test_bound_inside_the_margin_is_refused(self, monkeypatch):
+        # Every 1 - r_i is y, y^12 = 2e-14 (2 + (1 - y)) (1 + 6e-8): prod_i
+        # (1 - r_i) clears twice the largest threshold by a relative 6e-8,
+        # while delta takes 12 delta / y = 2.4e-7 off it.
+        n = 12
+        g = rng(12)
+        y = 0.08
+        for _ in range(3):
+            y = (2.0 * la.threshold_of_norms(2.0 - y)) ** (1.0 / n)
+        a = rows_scaled(g, n, np.full(n, 1.0 - y * (1.0 + 5e-9)))
+        rows = np.abs(a).sum(axis=1)
+        assert np.prod(1.0 - rows) > 2.0 * la.threshold_of_norms(1.0 + rows.max())
+        assert not an._price_certified(a)
+        assert_matches_reference(planted(g, a))
+        monkeypatch.setattr(an, "_price_margin", lambda n: 0.0)
+        assert an._price_certified(a)
 
 
 class TestEnumerateSolutions:
@@ -181,6 +233,44 @@ class TestOverflowingDeterminants:
         b = np.random.default_rng(5).uniform(-1.0, 1.0, 6)
         result = enumerate_solutions(pr.AveProblem(1e150 * self.B, b))
         assert result.solutions == [] and result.singular_signatures == []
+
+
+class TestPriceCertificate:
+    """The oracle skips the det sweep exactly where ``_price_certified``
+    proves that the sweep would flag no signature."""
+
+    @pytest.fixture
+    def no_det(self, monkeypatch):
+        def det(_mats):
+            raise AssertionError("np.linalg.det called")
+        monkeypatch.setattr(np.linalg, "det", det)
+
+    @pytest.mark.parametrize("cls", ["norm_lt_half", "irreducible_half", "sdd_two_thirds",
+                                     "tridiag_abs_sym"])
+    def test_guaranteed_classes_call_no_det(self, cls, no_det):
+        for i in range(14):
+            problem, z = pr.random_instance(cls, 2 + i % 7, 300 + i)
+            (_sig, found), = enumerate_solutions(problem).solutions
+            assert np.abs(found - z).max() <= 1e-12
+
+    def test_newton_cycle_default_is_certified(self, no_det):
+        # a = 5/8 gives ||A||_inf = 5/8 < 1; a >= 1 is refused below.
+        assert len(enumerate_solutions(pr.newton_cycle_instance()).solutions) == 1
+
+    @pytest.mark.parametrize("a", [
+        pr.inflated_identity(0.01, 2),
+        np.eye(1),
+        np.eye(5),
+        pr.newton_cycle_instance(1.0).a,
+        pr.newton_cycle_instance(1.25).a,
+        1e150 * TestOverflowingDeterminants.B,
+    ])
+    def test_refused(self, a):
+        assert not an._price_certified(a)
+
+    def test_margin_is_tiny_at_the_cap(self):
+        assert an._price_margin(1) == pytest.approx(6 * np.finfo(float).eps / 2)
+        assert an._price_margin(an.MAX_ENUM_DIM) < 2e-9
 
 
 class TestScaleInvariance:

@@ -8,7 +8,7 @@ from avekit.errors import PivotBreakdown
 from avekit import linalg
 from avekit.linalg import elimination_step, infinity_norm, pivot_threshold
 from avekit.newton import newton_solve
-from avekit.report import Status
+from avekit.report import Status, residual_rtol
 from avekit.sge import _pin, _round_picks, sge_solve
 
 from conftest import rng
@@ -109,6 +109,27 @@ class TestSgeSolve:
         mismatch = np.abs(report.z - z_true).max() > 1e-8 * (1 + np.abs(z_true).max())
         assert report.residual > 1e-6 or mismatch
         assert not report.guaranteed
+        assert report.status == Status.UNVERIFIED
+
+    def test_trap_fails_the_orthant_test_alone(self):
+        # At eps = 1e-9 the wrong answer z_0 = +5e-10 under s_0 = -1 has a
+        # residual of about eps^2 / 2, inside verify's residual bound: only
+        # the orthant test turns it down.
+        problem, _ = pr.sge_trap_instance(1e-9)
+        report = sge_solve(problem)
+        assert report.signs[0] == -1 and report.z[0] > 4e-10
+        bound = residual_rtol(2) * (infinity_norm(problem.a) * np.abs(report.z).max()
+                                    + np.abs(problem.b).max())
+        assert report.residual <= bound
+        assert report.status == Status.UNVERIFIED
+
+    def test_overflowing_solution_is_unverified(self):
+        # z_0 = 1.7e308 / 0.1 overflows: no RuntimeWarning (an error under
+        # pytest), and the status says the answer was not earned.
+        problem = pr.AveProblem(0.9 * np.eye(2), np.array([1.7e308, 1.0]))
+        report = sge_solve(problem)
+        assert report.status == Status.UNVERIFIED
+        assert np.isinf(report.z[0]) and report.residual == np.inf
 
     # random_instance("tridiag_abs_sym", 3, 29) and (4, 989), each with A
     # rescaled to ||A||_inf = 0.9 and b from from_solution: |A| is
@@ -146,6 +167,7 @@ class TestSgeSolve:
         report = sge_solve(problem)
         assert report.residual > 1e-3
         assert np.abs(report.z - z_ref).max() > 1e-3
+        assert report.status == Status.UNVERIFIED
         newton = newton_solve(problem)
         assert newton.status == Status.CONVERGED
         assert np.abs(newton.z - z_ref).max() <= 1e-8 * np.abs(z_ref).max()
@@ -173,6 +195,7 @@ class TestSgeSolve:
             report = sge_solve(problem)
             z_ref = oracle.unique_solution(problem)
             tol = 1e-8 * (1.0 + np.abs(z_ref).max())
+            assert report.status == Status.CONVERGED
             assert np.abs(report.z - z_ref).max() <= tol
             assert np.abs(report.z - z_true).max() <= tol
 
