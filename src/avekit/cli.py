@@ -6,8 +6,8 @@ Problems travel as JSON files:
      "known_solution": [...]?, "metadata": {...}?}
 
 ``load_problem`` accepts what ``json.load`` accepts.  A regular file in
-the layout ``generate`` writes is read in pieces, with each row of ``A``
-read by ``orjson`` into a float array; every other file, an invalid one
+the layout ``generate`` writes ("n", then "A") is read in pieces, with
+each row of ``A`` read by ``orjson`` into a float array; any other file
 or a pipe is ``json.load``'s.  Reports are JSON too, with the residual
 always recomputed from the raw inputs.  ``_write_json`` is the one
 writer: one ``orjson.dumps`` call, indented by two spaces, whose bytes go
@@ -41,11 +41,11 @@ import contextlib
 import json
 import math
 import os
+import re
 import struct
 import sys
 import time
 from functools import partial
-from json.decoder import WHITESPACE, JSONDecodeError, JSONDecoder, scanstring
 
 import numpy as np
 import orjson
@@ -97,153 +97,73 @@ def _numeric_field(path: str, data: dict, name: str) -> np.ndarray:
     return value
 
 
-_scan_once = JSONDecoder().scan_once
-_skip_ws = WHITESPACE.match
-
-# Characters the loader reads at a time.  A scan that needs more than the
-# window holds reads at least as much again, so a long value costs
-# O(length) however it falls across reads.
+# Characters the loader reads at a time.  A row longer than the text
+# still held reads at least as much again, so it costs O(length) however
+# it falls across reads.
 _CHUNK = 1 << 18
 
-# Characters after the end of a scanned value that decide where it ends:
-# a number cut after "1.5" may go on as "1.5e-3".
-_LOOKAHEAD = 3
+# The opening of the layout ``generate`` writes: "n" as an integer literal
+# (group 1 ends with it), then "A" and its bracket, the first "[" of the
+# text.  Only JSON whitespace separates the tokens.
+_WS = re.compile(r"[ \t\n\r]*")
+_OPENING = re.compile('({0}{{{0}"n"{0}:{0}-?[0-9]+){0},{0}"A"{0}:{0}\\['.format(_WS.pattern))
 
 
-class _Window:
-    """The text of a stream from the last position still needed on, read
-    by ``read(size)`` ``_CHUNK`` characters at a time; ``eof`` is whether
-    the stream is exhausted, which a read shorter than asked for shows (a
-    text file's ``read(size)`` returns ``size`` characters until its end)."""
+def _read_generated(read) -> dict:
+    """``json.loads`` of the text ``read(size)`` gives, ``_CHUNK``
+    characters at a time, when it has the layout ``generate`` writes
+    (``_OPENING``, then rows separated by commas), except that "A" is the
+    list of its rows as float arrays; raises ValueError or RecursionError
+    for any other text.
 
-    def __init__(self, read):
-        self.read = read
-        self.text = ""
-        self.eof = False
+    A row is the text up to the next ``]``: a slice ``orjson`` accepts is
+    one value that ends there, so a flat array, and orjson's doubles are
+    correctly rounded like ``float()``'s.  Only integers past 64 bits
+    differ (orjson gives their float), which ``np.asarray(dtype=float)``
+    erases.  ``struct.pack`` takes only floats, ints and bools and gives
+    each the double ``np.asarray`` gives.  The opening up to "n"'s value
+    and the text after "A" go to one ``json.loads``, which makes every
+    check on them; a later "A", which would replace the rows, is refused.
+    So the nested list of a dense ``A`` never exists."""
+    text, pos, eof = "", 0, False
 
-    def scan(self, step, end: int):
-        """``step(text, end)``: a tuple whose last item is where the
-        scanned text ends, or None when the window is too short to tell.
-        While it raises JSONDecodeError, returns None or ends within
-        ``_LOOKAHEAD`` of the window's end before the stream is exhausted,
-        the text before ``end`` is let go and more is read, and the step
-        runs again.  Positions are relative to the window at return."""
-        while True:
-            try:
-                result = step(self.text, end)
-            except JSONDecodeError:
-                if self.eof:
-                    raise
-                result = None
-            if result is not None and (self.eof or result[-1] + _LOOKAHEAD <= len(self.text)):
-                return result
-            size = max(_CHUNK, len(self.text) - end)
-            chunk = self.read(size)
-            self.text = self.text[end:] + chunk
-            self.eof = len(chunk) < size
-            end = 0
+    def more() -> None:
+        nonlocal text, pos, eof
+        size = max(_CHUNK, len(text) - pos)
+        chunk = read(size)
+        text, pos, eof = text[pos:] + chunk, 0, len(chunk) < size
 
+    def skip() -> str:
+        """The character after the whitespace at ``pos``, "" at the end."""
+        nonlocal pos
+        while (pos := _WS.match(text, pos).end()) == len(text) and not eof:
+            more()
+        return text[pos:pos + 1]
 
-def _skip(text: str, end: int) -> tuple[int]:
-    return (_skip_ws(text, end).end(),)
-
-
-def _scan_item(text: str, end: int):
-    """The JSON value starting at ``end``, and where the whitespace that
-    follows it ends."""
-    try:
-        value, end = _scan_once(text, end)
-    except StopIteration as exc:
-        raise JSONDecodeError("Expecting value", text, exc.value) from None
-    return value, _skip_ws(text, end).end()
-
-
-def _scan_key(text: str, end: int):
-    """The object key after the whitespace at ``end``, and where it ends."""
-    end = _skip_ws(text, end).end()
-    if text[end:end + 1] != '"':
-        raise JSONDecodeError("Expecting property name enclosed in double quotes", text, end)
-    return scanstring(text, end + 1)
-
-
-def _parse_problem(window: _Window) -> dict:
-    """``json.loads`` of the text of ``window`` when it has the layout
-    ``generate`` writes, except that the "A" array is the list of its rows
-    as float arrays; raises ValueError for any other text.
-
-    That layout is a top-level object whose "A", if an array, has members
-    that are flat arrays ``orjson`` accepts and whose values pack as
-    doubles.  The other values are scanned by the ``json`` module's own
-    scanner once the window holds them whole, and every structural check
-    ``json`` makes is made, so a text the scan accepts is one ``json.loads``
-    accepts.  A row is the text up to the next ``]``: a slice orjson accepts
-    is one value that ends there, so a whole flat array, the value the
-    ``json`` scanner reads there, and orjson's doubles are correctly rounded like
-    ``float()``'s.  Only integers past 64 bits differ (orjson gives their
-    float), which ``np.asarray(dtype=float)`` erases.  The values become
-    the row by ``struct.pack`` as doubles, which takes only floats, ints
-    and bools and gives each the double ``np.asarray`` gives, in half the
-    time of ``np.fromiter``.  So the nested list of a dense ``A`` never
-    exists, and ``np.asarray`` of the list of rows is that of the parsed
-    value."""
-
-    def skip(end: int) -> int:
-        return window.scan(_skip, end)[0]
-
-    def members(end: int, close: str, member) -> int:
-        """Scan the members of the array or object whose opening bracket
-        ends at ``end`` and whose closing bracket is ``close``, each by
-        ``member(end)``, which skips the whitespace around the member;
-        returns where the container ends."""
-        end = skip(end)
-        if window.text[end:end + 1] == close:
-            return end + 1
-        while True:
-            end = member(end)
-            if window.text[end:end + 1] == close:
-                return end + 1
-            if window.text[end:end + 1] != ",":
-                raise JSONDecodeError("Expecting ',' delimiter", window.text, end)
-            end += 1
-
-    def row_of(text: str, end: int):
-        end = _skip_ws(text, end).end()
-        close = text.find("]", end) + 1
-        if not close and not window.eof:
-            return None
+    while "[" not in text and not eof:
+        more()
+    opening = _OPENING.match(text)
+    if not opening:
+        raise ValueError("not the layout generate writes")
+    pos, rows = opening.end(), []
+    mark = skip()
+    while mark != "]":
+        while not (end := text.find("]", pos) + 1) and not eof:
+            more()
+        values = orjson.loads(text[pos:end])
         try:
-            values = orjson.loads(text[end:close])
-            row = np.frombuffer(struct.pack(f"{len(values)}d", *values))
-        except (ValueError, struct.error):
-            # Not a JSONDecodeError, which orjson's error is and which
-            # would make the window read on for a longer row.
+            rows.append(np.frombuffer(struct.pack(f"{len(values)}d", *values)))
+        except struct.error:
             raise ValueError("a row of 'A' is not a flat array of numbers") from None
-        return row, _skip_ws(text, close).end()
-
-    def row(end: int) -> int:
-        value, end = window.scan(row_of, end)
-        data["A"].append(value)
-        return end
-
-    def field(end: int) -> int:
-        key, end = window.scan(_scan_key, end)
-        end = skip(end)
-        if window.text[end:end + 1] != ":":
-            raise JSONDecodeError("Expecting ':' delimiter", window.text, end)
-        end = skip(end + 1)
-        if key == "A" and window.text[end:end + 1] == "[":
-            data[key] = []
-            return skip(members(end + 1, "]", row))
-        data[key], end = window.scan(_scan_item, end)
-        return end
-
-    end = skip(0)
-    if window.text[end:end + 1] != "{":
-        raise ValueError("the top level is not an object")
-    data: dict = {}
-    end = skip(members(end + 1, "}", field))
-    if end != len(window.text):
-        raise JSONDecodeError("Extra data", window.text, end)
+        pos = end
+        if (mark := skip()) == ",":
+            pos += 1
+        elif mark != "]":
+            raise ValueError("the rows of 'A' are not separated by commas")
+    data = json.loads(opening[1] + text[pos + 1:] + read())
+    if "A" in data:
+        raise ValueError("a later 'A' replaces the rows read")
+    data["A"] = rows
     return data
 
 
@@ -253,13 +173,14 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
     The file must hold what ``json.load`` accepts, and ``A``, ``b`` and
     ``known_solution`` are what ``np.asarray(value, dtype=float)`` makes
     of the parsed values.  A regular file is first read ``_CHUNK``
-    characters at a time by ``_parse_problem``, which turns each row of
-    ``A`` into a float array as soon as it is read, so neither the file's
-    whole text nor a nested list of Python floats is held for a file that
-    ``generate`` wrote, whose shortest round-trip digits read back
-    bitwise.  Every other file, an invalid one or one that is not regular
-    (a pipe) is read by ``json.load``, whose errors, file positions
-    included, are the ones reported.  Any unreadable, invalid
+    characters at a time by ``_read_generated``, which reads only the
+    layout ``generate`` writes and turns each row of ``A`` into a float
+    array as soon as it is read, so neither the file's whole text nor a
+    nested list of Python floats is held for a file that ``generate``
+    wrote, whose shortest round-trip digits read back bitwise.  Every
+    other file, in another layout, invalid or not regular (a pipe), is
+    read by ``json.load``, whose errors, file positions included, are the
+    ones reported.  Any unreadable, invalid
     or inconsistent file raises ``CliError`` naming the path and the
     field, and so does an ``A`` whose ||A||_inf overflows, on which every
     command would print non-finite numbers.
@@ -268,7 +189,7 @@ def load_problem(path: str) -> tuple[AveProblem, np.ndarray | None, dict]:
         data = None
         if os.path.isfile(path):
             with contextlib.suppress(ValueError, RecursionError), open(path) as handle:
-                data = _parse_problem(_Window(handle.read))
+                data = _read_generated(handle.read)
         if data is None:
             with open(path) as handle:
                 data = json.load(handle)

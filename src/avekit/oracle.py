@@ -12,9 +12,9 @@ candidate.  Where ||A||_inf < 1 that det sweep is skipped when Price's
 bound, less a rounding margin, proves that it would flag no signature
 (``analysis._price_certified``): then the stack goes to one
 ``np.linalg.solve`` and the result is the sweep's bit for bit.  The
-orthant test runs in one pass over the whole stack of candidates; only
-the consistent ones get the residual and deduplication checks, in
-enumeration order.
+orthant test runs in one pass over the whole stack of candidates, and
+drops a candidate that overflowed; only the consistent ones get the
+residual and deduplication checks, in enumeration order.
 """
 
 from __future__ import annotations
@@ -77,8 +77,10 @@ def enumerate_solutions(problem: AveProblem) -> OracleResult:
     b_norm = float(np.abs(problem.b).max(initial=0.0))
     z_max = np.abs(candidates).max(axis=1)
     tau_sign = 1e-10 * z_max
-    # Singular rows hold NaN, which no comparison rejects; the mask does.
-    consistent = ~singular & ~(signs * candidates < -tau_sign[:, None]).any(axis=1)
+    # Singular rows hold NaN, which no comparison rejects, and a candidate
+    # that overflowed holds inf or NaN; neither is a solution.
+    finite = np.isfinite(candidates).all(axis=1)
+    consistent = finite & ~(signs * candidates < -tau_sign[:, None]).any(axis=1)
     for i in np.flatnonzero(consistent):
         z = candidates[i]
         if residual(problem, z) > 1e-10 * (a_norm * z_max[i] + b_norm):

@@ -736,6 +736,26 @@ class TestOverflowingDeterminants:
         assert row["instance"] == "huge.json" and row["oracle"].startswith("found 0 solutions")
 
 
+def test_overflowed_oracle_candidate_is_no_solution(tmp_path, capsys):
+    # Under S = I the oracle's candidate b / 0.1 overflows to inf; the
+    # other signatures put b_1 > 0 in a negative orthant.
+    d = tmp_path / "instances"
+    d.mkdir()
+    path = write_problem(d / "overflow.json", pr.AveProblem(np.diag([0.9, 0.9]),
+                                                            np.array([1.7e308, 1.0])))
+    assert run("solve", path, "--method", "oracle") == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "not_unique" and report["solution_count"] == 0
+    assert run("generate", "--class", "tridiag", "--n", "3", "--out", str(d / "good.json")) == 0
+    out = tmp_path / "cmp.json"
+    assert run("compare", "--dir", str(d), "--out", str(out)) == 0
+    data = read_json(str(out))
+    assert data["skipped"] == []
+    good, bad = data["instances"]
+    assert good["instance"] == "good.json" and good["oracle"] == "unique"
+    assert bad["instance"] == "overflow.json" and bad["oracle"].startswith("found 0 solutions")
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "{problem}"),
     ("analyze", "{problem}"),
@@ -1034,12 +1054,28 @@ def reaches_json_load(path):
 
 @pytest.mark.parametrize("cls, n", [
     (cls, n) for cls in ("norm-lt-half", "irreducible-half", "sdd-two-thirds", "tridiag")
-    for n in (40, 150)] + [("sdd-two-thirds", 1000)])
+    for n in (40, 150)] + [("sdd-two-thirds", 1000)]
+    + [(cls, None) for cls in cli.GENERATE_CLASSES])
 def test_generated_files_never_reach_json_load(tmp_path, cls, n):
-    # json.load would build the nested list of A that the row reader avoids.
+    # json.load would build the nested list of A that the row reader
+    # avoids.  With no n, a seeded class is written with the sample
+    # options (n = 5) and every other class at its defaults.
+    if n is not None:
+        argv = ["--class", cls, "--n", str(n), "--seed", "21"]
+    elif "seed" in cli.GENERATE_CLASSES[cls][1]:
+        argv = class_argv(cls)
+    else:
+        argv = ["--class", cls]
     path = tmp_path / "p.json"
-    assert run("generate", "--class", cls, "--n", str(n), "--seed", "21", "--out", str(path)) == 0
+    assert run("generate", *argv, "--out", str(path)) == 0
     assert not reaches_json_load(str(path))
+
+
+def test_problem_without_known_solution_or_metadata_never_reaches_json_load(tmp_path):
+    problem, _z = pr.random_instance("norm_lt_half", 6, 21)
+    path = write_problem(tmp_path / "p.json", problem)
+    assert set(read_json(path)) == {"n", "A", "b"}
+    assert not reaches_json_load(path)
 
 
 @pytest.mark.parametrize("text", [
@@ -1047,6 +1083,15 @@ def test_generated_files_never_reach_json_load(tmp_path, cls, n):
     '{"n": 2, "A": [null, [0, 1]], "b": [1, 2]}',
     '[{"n": 1, "A": [[0.5]], "b": [1]}]',
     '{"n": 1, "A": [[0.5]] "b": [1]}',
+    '{"n": 2, "A": [[0.5, 0] [0, 0.5]], "b": [1, 2]}',
+    # Only the layout generate writes, "n" as an integer literal and then
+    # "A", is streamed; every other layout loads, or is refused, as
+    # json.load makes it.
+    '{"n": 2, "b": [1, 2], "A": [[0.5, 0.25], [0, 0.125]]}',
+    '{"A": [[0.5, 0.25], [0, 0.125]], "n": 2, "b": [1, 2]}',
+    '{"n": 2.0, "A": [[0.5, 0.25], [0, 0.125]], "b": [1, 2]}',
+    '{"n": 2, "b": [1, "x"], "A": [[0.5, 0.25], [0, 0.125]]}',
+    '{"A": [[0.5, 0.25], [0, 0.125]], "n": 2, "b": [1, 2], "b": [1]}',
 ])
 def test_other_texts_reach_json_load(tmp_path, text):
     path = tmp_path / "p.json"
@@ -1243,5 +1288,5 @@ def test_float_text_is_json_dump_text_on_a_sweep_of_doubles(tmp_path_factory, fo
         got = written_text(tmp_path_factory, SWEEP_FORMS[form](values))
         assert first_difference(redumped(got), want) is None
         if form == "c_matrix":
-            rows = cli._parse_problem(cli._Window(io.StringIO(got).read))["A"]
+            rows = cli._read_generated(io.StringIO('{"n": 2, ' + got[1:]).read)["A"]
             assert np.array(rows).tobytes() == values.tobytes()

@@ -234,6 +234,13 @@ class TestOverflowingDeterminants:
         result = enumerate_solutions(pr.AveProblem(1e150 * self.B, b))
         assert result.solutions == [] and result.singular_signatures == []
 
+    def test_overflowed_candidate_is_no_solution(self):
+        # Under S = I the candidate b / 0.1 overflows to inf in its first
+        # entry; the other signatures put b_1 > 0 in a negative orthant.
+        problem = pr.AveProblem(np.diag([0.9, 0.9]), np.array([1.7e308, 1.0]))
+        result = enumerate_solutions(problem)
+        assert result.solutions == [] and result.singular_signatures == []
+
 
 class TestPriceCertificate:
     """The oracle skips the det sweep exactly where ``_price_certified``
